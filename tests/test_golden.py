@@ -1,0 +1,120 @@
+"""Golden parity pins: the reproduction's outputs, byte for byte.
+
+fig8/fig9 rows and the message count of a fixed mixed stream are what
+make this a reproduction, so a refactor that claims to change no
+behaviour must leave every digest below untouched.  The pins are
+literals on purpose: there is no flag that rewrites them.  A change that
+moves one is a behaviour change and says why, with the new value.
+"""
+
+import hashlib
+import json
+import random
+
+from repro.core.config import SearchOptions, ServiceConfig
+from repro.core.search import SuperSetSearch
+from repro.core.service import KeywordSearchService
+from repro.experiments import fig8, fig9
+from repro.experiments.harness import build_loaded_index, default_corpus
+from repro.workload.queries import QueryLogGenerator
+
+N = 4_000  # the scaled-down corpus tests/test_experiments.py uses
+
+FIG8_ROWS = "626c6e6b508159ab75711c999bce458ab8cb487bee4d34949a177a5c4433dde8"
+FIG9_ROWS = "c58e1da3bdd7ab4215d2685c3dcf5058770a49033c5b64a029b2eea2bf325fc7"
+HARNESS_MESSAGES = 3249
+MIXED_MESSAGES = 120054
+MIXED_RESULTS = "03183c218fcc30ce41bc33b1288ad1a7d95efceea3388eb55fdc0dc715b376d9"
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def test_fig8_rows():
+    result = fig8.run(
+        num_objects=N,
+        seed=0,
+        dimensions=(8, 10),
+        query_sizes=(1, 2, 3),
+        queries_per_size=3,
+        recall_points=(0.5, 1.0),
+    )
+    assert _digest(result.rows) == FIG8_ROWS
+
+
+def test_fig9_rows():
+    result = fig9.run(
+        num_objects=N,
+        seed=0,
+        dimensions=(10,),
+        recall_rates=(1.0,),
+        alphas=(0.0, 1.0),
+        num_queries=800,
+        pool_size=60,
+        baseline_sample=200,
+    )
+    assert _digest(result.rows) == FIG9_ROWS
+
+
+def test_harness_route_messages():
+    """The figures' index memoizes routes (a known owner answers with
+    zero hops); its message count pins that shortcut's reach."""
+    corpus = default_corpus(N, 0)
+    index = build_loaded_index(corpus, 8, seed=0)
+    searcher = SuperSetSearch(index)
+    queries = QueryLogGenerator(corpus, pool_size=40, seed=1).generate(60)
+    network = index.dolr.network
+    before = network.metrics.counter("network.messages")
+    for query in queries:
+        searcher.run(query.keywords, 5)
+    assert network.metrics.counter("network.messages") - before == HARNESS_MESSAGES
+
+
+def _mixed_stream(rng: random.Random):
+    """300 ops on the mixed-sim shape: 165 searches with t=10, 45 full
+    searches, 30 prefix queries and 60 writes (40 inserts, 20 deletes
+    of objects inserted earlier in the stream)."""
+    records = default_corpus(2048, 11).records
+    preload, fresh = records[:150], records[150:190]
+    queries = QueryLogGenerator(default_corpus(2048, 11), pool_size=60, seed=12).generate(210)
+    prefixes = sorted({keyword[:3] for record in records[:30] for keyword in record.keywords})
+    prefix_options = SearchOptions(prefix=True, threshold=10, max_expansions=8)
+    ops = [("search", q.keywords, SearchOptions(threshold=10)) for q in queries[:165]]
+    ops += [("search", q.keywords, SearchOptions()) for q in queries[165:]]
+    ops += [("prefix", prefix, prefix_options) for prefix in rng.sample(prefixes, 30)]
+    rng.shuffle(ops)
+    inserted: list = []
+    for position, record in enumerate(fresh):
+        ops.insert(5 + 7 * position, ("insert", record.keywords, record.object_id))
+        inserted.append(record)
+        if position % 2:
+            doomed = inserted.pop(0)
+            ops.insert(9 + 7 * position, ("delete", doomed.keywords, doomed.object_id))
+    return preload, ops
+
+
+def test_mixed_stream_messages_and_results():
+    service = KeywordSearchService.create(
+        ServiceConfig(
+            dimension=10, num_dht_nodes=64, seed=11, cache_capacity=8, prefix_directory=True
+        )
+    )
+    client = service.client()
+    holder = service.dolr.any_address()
+    preload, ops = _mixed_stream(random.Random(11))
+    assert len(ops) == 300
+    for record in preload:
+        client.insert(record.object_id, record.keywords, holder=holder)
+    before = service.messages_sent()
+    answers = []
+    for kind, query, extra in ops:
+        if kind == "insert":
+            client.insert(extra, query, holder=holder)
+        elif kind == "delete":
+            client.delete(extra, holder=holder)
+        else:
+            result = client.search(query, extra)
+            answers.append([kind, list(result.results()), result.complete])
+    assert service.messages_sent() - before == MIXED_MESSAGES
+    assert _digest(answers) == MIXED_RESULTS
