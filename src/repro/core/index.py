@@ -565,7 +565,7 @@ class HypercubeIndex:
 
     # -- cache coherence ---------------------------------------------------
 
-    def coherence_targets(self, logical: int) -> list[int]:
+    def coherence_targets(self, logical: int, *, without: int | None = None) -> list[int]:
         """Physical hosts that may cache a query covering table
         ``logical``.
 
@@ -576,27 +576,30 @@ class HypercubeIndex:
         ``2**popcount(u) - 1`` nonzero bit-subsets of ``u`` — small,
         since ``popcount(u) <= |K_σ|`` — deduplicated to physical
         owners; when the subset lattice outnumbers the live cluster, one
-        message per live host is cheaper and equally exact.
+        message per live host is cheaper and equally exact.  ``without``
+        answers as if that node had already left.
         """
         bits = [i for i in range(self.cube.dimension) if (logical >> i) & 1]
-        live = self.dolr.live_addresses()
+        live = [address for address in self.dolr.live_addresses() if address != without]
         if (1 << len(bits)) - 1 >= len(live):
-            return sorted(live)
+            return live
         owners: set[int] = set()
         for mask in range(1, 1 << len(bits)):
             subset = 0
             for j, bit in enumerate(bits):
                 if (mask >> j) & 1:
                     subset |= 1 << bit
-            owners.add(self.mapping.physical_owner(subset))
+            owners.add(self.mapping.physical_owner(subset, without=without))
         return sorted(owners)
 
-    def _send_invalidations(self, payload: dict, logical: int, origin: int) -> int:
+    def _send_invalidations(
+        self, payload: dict, logical: int, origin: int, *, without: int | None = None
+    ) -> int:
         """Fan one ``hindex.cache_invalidate`` to every coherence target
         of ``logical`` in a single batch; unreachable targets are
         skipped (a crashed node's cache dies with it).  Returns entries
         invalidated cluster-wide."""
-        targets = self.coherence_targets(logical)
+        targets = self.coherence_targets(logical, without=without)
         calls = [
             RpcCall(origin, target, "hindex.cache_invalidate", payload) for target in targets
         ]
@@ -635,15 +638,18 @@ class HypercubeIndex:
         }
         return self._send_invalidations(payload, logical, origin)
 
-    def invalidate_coverage(self, logical: int, *, origin: int) -> int:
+    def invalidate_coverage(
+        self, logical: int, *, origin: int, without: int | None = None
+    ) -> int:
         """Churn-path coherence: a whole table changed hosts (handoff or
         replica repair), so drop every cached query rooted at a
         bit-subset of ``logical`` — a walk that raced the move may have
-        scanned an empty table and cached the miss as authoritative."""
+        scanned an empty table and cached the miss as authoritative.
+        ``without`` picks the hosts as if that node had already left."""
         if self.cache_capacity <= 0:
             return 0
         payload = {"namespace": self.namespace, "op": "table", "logical": logical}
-        return self._send_invalidations(payload, logical, origin)
+        return self._send_invalidations(payload, logical, origin, without=without)
 
     def pin_search(self, keywords: Iterable[str], *, origin: int | None = None) -> PinResult:
         """Exact-keyword-set search: one routed message to F_h(K)."""
@@ -679,7 +685,6 @@ class HypercubeIndex:
         node, destination).  Returns the number of object references
         moved.
         """
-        self.mapping.invalidate_placement_cache()
         moved = 0
         for address in list(self.dolr.addresses()):
             moved += self._push_misplaced_tables(address)
@@ -695,22 +700,16 @@ class HypercubeIndex:
         """
         if leaving not in self.dolr.nodes:
             raise ValueError(f"unknown node {leaving}")
-        shard = self.shard_at(leaving)
-        node = self.dolr.nodes.pop(leaving)  # simulate absence for placement
-        try:
-            self.mapping.invalidate_placement_cache()
-            moved = self._push_misplaced_tables(leaving, shard=shard)
-        finally:
-            self.dolr.nodes[leaving] = node
-            self.mapping.invalidate_placement_cache()
-        return moved
+        return self._push_misplaced_tables(leaving, without=leaving)
 
-    def _push_misplaced_tables(self, address: int, shard: IndexShard | None = None) -> int:
-        shard = self.shard_at(address) if shard is None else shard
+    def _push_misplaced_tables(self, address: int, *, without: int | None = None) -> int:
+        """Move this namespace's tables hosted at ``address`` but owned
+        elsewhere — owned as if ``without`` had left, when given."""
+        shard = self.shard_at(address)
         moved = 0
         for key in [k for k in shard.tables if k[0] == self.namespace]:
             _, logical = key
-            owner = self.mapping.physical_owner(logical)
+            owner = self.mapping.physical_owner(logical, without=without)
             if owner == address:
                 continue
             # Stream the table as snapshot records, then drop it — the
@@ -727,7 +726,7 @@ class HypercubeIndex:
             shard.drop_table(key)
             # The table just changed hosts: queries that raced the move
             # may have cached scans of the receiver's then-empty table.
-            self.invalidate_coverage(logical, origin=address)
+            self.invalidate_coverage(logical, origin=address, without=without)
             moved += sum(len(ids) for _, ids in payload_table)
         return moved
 

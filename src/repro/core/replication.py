@@ -78,12 +78,6 @@ class ReplicatedHypercubeIndex:
     def primary(self) -> HypercubeIndex:
         return self.indexes[0]
 
-    def invalidate_placement_caches(self) -> None:
-        """Drop every replica mapping's memoized ownership — call after
-        any membership change, exactly like the single-index case."""
-        for index in self.indexes:
-            index.mapping.invalidate_placement_cache()
-
     @property
     def mapper(self) -> KeywordSetMapper:
         return self.primary.mapper

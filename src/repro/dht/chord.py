@@ -23,6 +23,7 @@ through the actual protocol.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 from repro.dht.dolr import DolrNetwork, DolrNode, LookupResult
 from repro.dht.ids import IdSpace
@@ -159,7 +160,6 @@ class ChordNetwork(DolrNetwork):
     ):
         super().__init__(space, network if network is not None else SimulatedNetwork())
         self.successor_list_length = successor_list_length
-        self.nodes: dict[int, ChordNode] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -182,16 +182,17 @@ class ChordNetwork(DolrNetwork):
         addresses = rng.sample(range(space.size), num_nodes)
         ring = cls(space, network, successor_list_length=successor_list_length)
         for address in addresses:
-            ring.nodes[address] = ChordNode(
+            node = ChordNode(
                 address, space, ring.network, successor_list_length=successor_list_length
             )
+            ring._set_node(address, node)
         ring.rewire_from_global_knowledge()
         return ring
 
     def rewire_from_global_knowledge(self) -> None:
         """Set every node's successors, predecessor and fingers to their
         converged values — the state repeated stabilization reaches."""
-        ordered = self.addresses()
+        ordered = self._sorted_addresses()
         count = len(ordered)
         for rank, address in enumerate(ordered):
             node = self.nodes[address]
@@ -201,25 +202,17 @@ class ChordNetwork(DolrNetwork):
             if count == 1:
                 node.successor_list = [address]
             node.fingers = [
-                self._successor_in(ordered, node.finger_start(i))
-                for i in range(self.space.bits)
+                _successor_in(ordered, node.finger_start(i)) for i in range(self.space.bits)
             ]
-
-    def _successor_in(self, ordered: list[int], key: int) -> int:
-        """First address clockwise from ``key`` in a sorted address list."""
-        import bisect
-
-        index = bisect.bisect_left(ordered, key)
-        return ordered[index % len(ordered)]
 
     # -- DolrNetwork contract ---------------------------------------------
 
-    def local_owner(self, key: int) -> int:
+    def local_owner(self, key: int, *, without: int | None = None) -> int:
         self.space.check(key)
-        ordered = self.addresses()
+        ordered = self._sorted_addresses(without)
         if not ordered:
             raise RuntimeError("ring is empty")
-        return self._successor_in(ordered, key)
+        return _successor_in(ordered, key)
 
     def lookup(self, key: int, origin: int | None = None) -> LookupResult:
         """Iterative lookup with failure fallback.
@@ -275,7 +268,7 @@ class ChordNetwork(DolrNetwork):
         node = ChordNode(
             address, self.space, self.network, successor_list_length=self.successor_list_length
         )
-        self.nodes[address] = node
+        self._set_node(address, node)
         self.provision_node(node)
         if bootstrap is None:
             if len(self.nodes) > 1:
@@ -294,7 +287,7 @@ class ChordNetwork(DolrNetwork):
         if address not in self.nodes:
             raise ValueError(f"unknown address {address}")
         self.network.unregister(address)
-        del self.nodes[address]
+        self._drop_node(address)
 
     def admit(self, address: int) -> ChordNode:
         """Apply a membership *fact*: ``address`` is now part of the
@@ -315,7 +308,7 @@ class ChordNetwork(DolrNetwork):
         node = ChordNode(
             address, self.space, self.network, successor_list_length=self.successor_list_length
         )
-        self.nodes[address] = node
+        self._set_node(address, node)
         self.provision_node(node)
         self.rewire_from_global_knowledge()
         return node
@@ -330,7 +323,7 @@ class ChordNetwork(DolrNetwork):
         if address not in self.nodes:
             return
         self.network.unregister(address)
-        del self.nodes[address]
+        self._drop_node(address)
         if self.nodes:
             self.rewire_from_global_knowledge()
 
@@ -415,3 +408,8 @@ class ChordNetwork(DolrNetwork):
             if candidate in self.nodes and self.network.is_alive(candidate):
                 return candidate
         return None
+
+
+def _successor_in(ordered: tuple[int, ...], key: int) -> int:
+    """First address clockwise from ``key`` in a sorted address tuple."""
+    return ordered[bisect_left(ordered, key) % len(ordered)]

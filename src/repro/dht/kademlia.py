@@ -93,7 +93,6 @@ class KademliaNetwork(DolrNetwork):
     ):
         super().__init__(space, network if network is not None else SimulatedNetwork())
         self.bucket_size = bucket_size
-        self.nodes: dict[int, KademliaNode] = {}
 
     @classmethod
     def build(
@@ -114,14 +113,13 @@ class KademliaNetwork(DolrNetwork):
         addresses = rng.sample(range(space.size), num_nodes)
         overlay = cls(space, network, bucket_size=bucket_size)
         for address in addresses:
-            overlay.nodes[address] = KademliaNode(
-                address, space, overlay.network, bucket_size=bucket_size
-            )
+            node = KademliaNode(address, space, overlay.network, bucket_size=bucket_size)
+            overlay._set_node(address, node)
         overlay.rewire_from_global_knowledge()
         return overlay
 
     def rewire_from_global_knowledge(self) -> None:
-        everyone = self.addresses()
+        everyone = self._sorted_addresses()
         for address, node in self.nodes.items():
             node.buckets = [[] for _ in range(self.space.bits)]
             by_bucket: dict[int, list[int]] = {}
@@ -135,11 +133,12 @@ class KademliaNetwork(DolrNetwork):
 
     # -- DolrNetwork contract -----------------------------------------------
 
-    def local_owner(self, key: int) -> int:
+    def local_owner(self, key: int, *, without: int | None = None) -> int:
         self.space.check(key)
-        if not self.nodes:
+        candidates = self._sorted_addresses(without)
+        if not candidates:
             raise RuntimeError("overlay is empty")
-        return min(self.addresses(), key=lambda a: (self.space.xor_distance(a, key), a))
+        return min(candidates, key=lambda a: (self.space.xor_distance(a, key), a))
 
     def lookup(self, key: int, origin: int | None = None) -> LookupResult:
         """Iterative node lookup.
@@ -187,7 +186,7 @@ class KademliaNetwork(DolrNetwork):
 
         live = [a for a in shortlist if self.network.is_alive(a)]
         if not live:
-            live = [a for a in self.addresses() if self.network.is_alive(a)]
+            live = self.live_addresses()
             if not live:
                 raise RuntimeError("no live nodes in overlay")
         owner = min(live, key=lambda a: (distance(a), a))
@@ -204,7 +203,7 @@ class KademliaNetwork(DolrNetwork):
         if address in self.nodes:
             raise ValueError(f"address {address} already joined")
         node = KademliaNode(address, self.space, self.network, bucket_size=self.bucket_size)
-        self.nodes[address] = node
+        self._set_node(address, node)
         self.provision_node(node)
         if bootstrap is None:
             return node
@@ -221,4 +220,4 @@ class KademliaNetwork(DolrNetwork):
         if address not in self.nodes:
             raise ValueError(f"unknown address {address}")
         self.network.unregister(address)
-        del self.nodes[address]
+        self._drop_node(address)

@@ -20,6 +20,7 @@ Chord and Kademlia implementations; surrogate routing falls out of the
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 from repro.dht.dolr import DolrNetwork, DolrNode, LookupResult
 from repro.dht.ids import IdSpace
@@ -160,7 +161,6 @@ class PastryNetwork(DolrNetwork):
         super().__init__(space, network if network is not None else SimulatedNetwork())
         self.digit_bits = digit_bits
         self.leaf_set_size = leaf_set_size
-        self.nodes: dict[int, PastryNode] = {}
 
     @classmethod
     def build(
@@ -183,19 +183,20 @@ class PastryNetwork(DolrNetwork):
         addresses = rng.sample(range(space.size), num_nodes)
         overlay = cls(space, network, digit_bits=digit_bits, leaf_set_size=leaf_set_size)
         for address in addresses:
-            overlay.nodes[address] = PastryNode(
+            node = PastryNode(
                 address,
                 space,
                 overlay.network,
                 digit_bits=digit_bits,
                 leaf_set_size=leaf_set_size,
             )
+            overlay._set_node(address, node)
         overlay.rewire_from_global_knowledge()
         return overlay
 
     def rewire_from_global_knowledge(self) -> None:
         """Fill every node's leaf set and routing table to convergence."""
-        ordered = self.addresses()
+        ordered = self._sorted_addresses()
         count = len(ordered)
         for rank, address in enumerate(ordered):
             node = self.nodes[address]
@@ -212,7 +213,7 @@ class PastryNetwork(DolrNetwork):
             ]
             self._fill_routing_table(node, ordered)
 
-    def _fill_routing_table(self, node: PastryNode, ordered: list[int]) -> None:
+    def _fill_routing_table(self, node: PastryNode, ordered: tuple[int, ...]) -> None:
         for row in range(node.num_digits):
             for column in range(1 << node.digit_bits):
                 if column == node.digit(node.address, row):
@@ -232,13 +233,18 @@ class PastryNetwork(DolrNetwork):
 
     # -- DolrNetwork contract ----------------------------------------------------
 
-    def local_owner(self, key: int) -> int:
+    def local_owner(self, key: int, *, without: int | None = None) -> int:
         self.space.check(key)
-        if not self.nodes:
+        ordered = self._sorted_addresses(without)
+        if not ordered:
             raise RuntimeError("overlay is empty")
+        # The numerically closest node is one of the key's two ring
+        # neighbours: every other node is farther both ways round.
+        index = bisect_left(ordered, key)
+        size = self.space.size
         return min(
-            self.addresses(),
-            key=lambda a: (_circular_distance(a, key, self.space.size), a),
+            (ordered[index % len(ordered)], ordered[index - 1]),
+            key=lambda a: (_circular_distance(a, key, size), a),
         )
 
     def lookup(self, key: int, origin: int | None = None) -> LookupResult:
@@ -300,7 +306,7 @@ class PastryNetwork(DolrNetwork):
             digit_bits=self.digit_bits,
             leaf_set_size=self.leaf_set_size,
         )
-        self.nodes[address] = node
+        self._set_node(address, node)
         self.provision_node(node)
         self.rewire_from_global_knowledge()
         return node
@@ -309,5 +315,5 @@ class PastryNetwork(DolrNetwork):
         if address not in self.nodes:
             raise ValueError(f"unknown address {address}")
         self.network.unregister(address)
-        del self.nodes[address]
+        self._drop_node(address)
         self.rewire_from_global_knowledge()

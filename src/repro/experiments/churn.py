@@ -88,7 +88,6 @@ def run(
                 ring.leave(address)
             ring.stabilize_all(rounds=2)
             ring.rewire_from_global_knowledge()
-            index.mapping.invalidate_placement_cache()
             rows.append(
                 _probe(label, epoch, index, searcher, queries, truth, moved=moved)
             )

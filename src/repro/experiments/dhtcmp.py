@@ -46,7 +46,7 @@ def _build_stack(substrate: str, dimension: int, num_nodes: int, seed: int):
         dolr = builder(bits=32, num_nodes=num_nodes, seed=seed)
         mapping = HypercubeMapping(cube, dolr)
     index = HypercubeIndex(cube, dolr, mapping=mapping)
-    index.mapping.enable_placement_cache()
+    index.mapping.memoize_routes()
     return index
 
 

@@ -66,9 +66,9 @@ def run(
     corpus = default_corpus(num_objects, seed)
     index = build_loaded_index(corpus, dimension, num_dht_nodes=num_dht_nodes, seed=seed)
     # This experiment fails nodes, violating the static-membership
-    # assumption the placement cache rests on — every route must pay
+    # assumption route memoization rests on — every route must pay
     # (and risk) real lookups, or failure modes would be masked.
-    index.mapping.disable_placement_cache()
+    index.mapping.memoize_routes(False)
     dii = DistributedInvertedIndex(index.dolr)
     dii.bulk_load((record.object_id, record.keywords) for record in corpus.records)
     searcher = SuperSetSearch(index, skip_unreachable=True)

@@ -60,7 +60,7 @@ def build_loaded_index(
 ):
     """A Chord-backed hypercube index bulk-loaded with ``corpus``.
 
-    Placement caching is enabled (membership is static in the query
+    Route memoization is on (membership is static in the query
     experiments); entries are loaded out-of-band, so the construction
     time is dominated by hashing, not routing.
     """
@@ -77,7 +77,7 @@ def build_loaded_index(
         cache_capacity=cache_capacity,
         cache_factory=factory,
     )
-    index.mapping.enable_placement_cache()
+    index.mapping.memoize_routes()
     index.bulk_load((record.object_id, record.keywords) for record in corpus.records)
     return index
 

@@ -3,7 +3,7 @@
 A :class:`~repro.membership.book.PeerRecord` says *what* changed; this
 module says what a node that learns of it must *do*.  Every applier is
 idempotent and purely local-plus-RPC — it mutates this process's view
-(DHT ring wiring, transport peer table, mapping caches) and pushes or
+(DHT ring wiring, transport peer table) and pushes or
 pulls index tables over the existing ``hindex.transfer`` /
 ``hindex.snapshot`` streams.  Gossip delivers the same record to every
 node eventually; because each node applies the same deterministic
@@ -41,11 +41,6 @@ from repro.membership.book import PeerBook, PeerRecord
 __all__ = ["apply_alive", "apply_book", "apply_gone", "repair_lost"]
 
 
-def _invalidate_mappings(service) -> None:
-    for index in service.indexes:
-        index.mapping.invalidate_placement_cache()
-
-
 def apply_alive(service, transport, record: PeerRecord, served: set[int]) -> int:
     """Admit ``record.address`` and hand over the tables it now owns.
 
@@ -65,7 +60,6 @@ def apply_alive(service, transport, record: PeerRecord, served: set[int]) -> int
             "dynamic membership currently requires the chord DHT"
         )
     admit(address)
-    _invalidate_mappings(service)
     if already:
         return 0
     moved = 0
@@ -96,7 +90,6 @@ def apply_gone(
     dolr = service.dolr
     if address not in dolr.nodes:
         transport.peers.pop(address, None)
-        _invalidate_mappings(service)
         return 0
     lost: dict = {}
     if repair and len(service.indexes) > 1:
@@ -119,7 +112,6 @@ def apply_gone(
         )
     expel(address)
     transport.peers.pop(address, None)
-    _invalidate_mappings(service)
     restored = 0
     if directory_plans:
         restored += directory.apply_repair(directory_plans)

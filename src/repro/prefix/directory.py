@@ -357,15 +357,16 @@ class KeywordDirectory:
     def _directory_tables(self, shard: IndexShard) -> list[tuple[str, int]]:
         return [key for key in shard.tables if key[0] in self.namespaces]
 
-    def push_misplaced(self, address: int, shard: IndexShard | None = None) -> int:
+    def push_misplaced(self, address: int, *, without: int | None = None) -> int:
         """Move directory rows hosted at ``address`` but owned elsewhere
-        to their owners (mirrors ``HypercubeIndex._push_misplaced_tables``).
-        Returns the number of records moved."""
-        shard = self._shard_at(address) if shard is None else shard
+        — owned as if ``without`` had left, when given — to their owners
+        (mirrors ``HypercubeIndex._push_misplaced_tables``).  Returns the
+        number of records moved."""
+        shard = self._shard_at(address)
         moved = 0
         for key in self._directory_tables(shard):
             namespace, logical = key
-            owner = self.dolr.local_owner(logical)
+            owner = self.dolr.local_owner(logical, without=without)
             if owner == address:
                 continue
             table = shard.snapshot_records(key)
@@ -388,13 +389,7 @@ class KeywordDirectory:
         computed as if ``leaving`` were already gone."""
         if leaving not in self.dolr.nodes:
             raise ValueError(f"unknown node {leaving}")
-        shard = self._shard_at(leaving)
-        node = self.dolr.nodes.pop(leaving)  # simulate absence for placement
-        try:
-            moved = self.push_misplaced(leaving, shard=shard)
-        finally:
-            self.dolr.nodes[leaving] = node
-        return moved
+        return self.push_misplaced(leaving, without=leaving)
 
     def plan_repair(
         self, dead: int, served: set[int]

@@ -26,7 +26,7 @@ def loaded():
     index = HypercubeIndex(Hypercube(9), ring)
     corpus = SyntheticCorpus.generate(num_objects=1_500, seed=77)
     index.bulk_load((record.object_id, record.keywords) for record in corpus)
-    index.mapping.enable_placement_cache()
+    index.mapping.memoize_routes()
     return corpus, index
 
 

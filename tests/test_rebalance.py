@@ -113,7 +113,6 @@ class TestEvacuate:
         index.evacuate(victim)
         ring.leave(victim)
         ring.stabilize_all(rounds=2)
-        index.mapping.invalidate_placement_cache()
         for logical in victim_logicals:
             owner = index.mapping.physical_owner(logical)
             shard = index.shard_at(owner)
@@ -155,7 +154,6 @@ class TestDurableChurn:
         index.evacuate(victim)
         ring.leave(victim)
         ring.stabilize_all(rounds=2)
-        index.mapping.invalidate_placement_cache()
         for store in stores.values():
             store.close()
 
@@ -167,7 +165,6 @@ class TestDurableChurn:
         assert index2.shard_at(victim).load(namespace=index2.namespace) == 0
         ring2.leave(victim)
         ring2.stabilize_all(rounds=2)
-        index2.mapping.invalidate_placement_cache()
         assert index2.total_indexed() == before
         result = SuperSetSearch(index2).run({"base"})
         assert len(result.objects) == len(ITEMS)
@@ -202,7 +199,6 @@ class TestDurableChurn:
             ring2.join(address, bootstrap2)
             stores2[address] = FileStore(tmp_path / f"node-{address}")
         ring2.stabilize_all(rounds=2)
-        index2.mapping.invalidate_placement_cache()
         # Freshly-joined nodes recover their shards from their stores.
         for address in joined:
             shard = index2.shard_at(address)
