@@ -153,9 +153,13 @@ def sequential_rpc_many(
     return outcomes
 
 
-@dataclass
+@dataclass(eq=False)
 class MessageTrace:
-    """Messages captured by a :meth:`Transport.trace` window."""
+    """Messages captured by a :meth:`Transport.trace` window.
+
+    Compared by identity: transports close a window with
+    ``list.remove``, which must drop this window and not another that
+    happens to hold equal messages (two nested, still-empty windows)."""
 
     messages: list[Message] = field(default_factory=list)
 

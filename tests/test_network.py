@@ -140,6 +140,19 @@ class TestTrace:
         assert inner.message_count == 2
         assert outer.message_count == 4
 
+    def test_nested_empty_windows_stay_distinct(self):
+        # Two windows that are both still empty must not be mistaken for
+        # each other when the inner one closes.
+        net = SimulatedNetwork()
+        net.register(1, echo_handler)
+        net.register(2, echo_handler)
+        with net.trace() as outer:
+            with net.trace() as inner:
+                pass
+            net.rpc(1, 2, "app.echo")
+        assert outer.message_count == 2
+        assert inner.message_count == 0
+
     def test_nodes_contacted(self):
         net = SimulatedNetwork()
         for address in (1, 2, 3):
