@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from pathlib import Path
 from typing import Callable, Iterable
@@ -93,6 +94,10 @@ class FileStore:
         self._tables_supplier: Callable[[], Tables] | None = None
         self._refs_supplier: Callable[[], Refs] | None = None
         self._closed = False
+        # Handler threads share one store: an append must never land in
+        # a WAL a concurrent compaction is about to truncate, and two
+        # compactions must not race on one snapshot temp file.
+        self._write_lock = threading.Lock()
 
     # -- paths --------------------------------------------------------
 
@@ -206,14 +211,15 @@ class FileStore:
     def _append_frame(
         self, frame: bytes, op: str, namespace: str, logical: int, object_id: str
     ) -> None:
-        if self._closed:
-            raise RuntimeError(f"store {self.directory} is closed")
-        if self._wal is None:
-            self.recover()
-        self._wal.write(frame)  # unbuffered: lands in the OS page cache
-        if self.fsync:
-            os.fsync(self._wal.fileno())
-        self._appends_since_compact += 1
+        with self._write_lock:
+            if self._closed:
+                raise RuntimeError(f"store {self.directory} is closed")
+            if self._wal is None:
+                self.recover()
+            self._wal.write(frame)  # unbuffered: lands in the OS page cache
+            if self.fsync:
+                os.fsync(self._wal.fileno())
+            self._appends_since_compact += 1
         if self.metrics is not None:
             self.metrics.increment("store.wal_appends")
             self.metrics.increment("store.wal_bytes", len(frame))
@@ -264,7 +270,11 @@ class FileStore:
         """The cheap per-mutation hook: snapshot once enough WAL
         accumulated (and live-state suppliers are bound)."""
         if self.compact_every and self._appends_since_compact >= self.compact_every:
-            self.compact()
+            with self._write_lock:
+                # Re-checked under the lock: a concurrent writer may
+                # have compacted since the unlocked test.
+                if self._appends_since_compact >= self.compact_every:
+                    self._compact()
 
     def compact(self) -> int:
         """Fold the WAL into a fresh snapshot; returns records written.
@@ -272,6 +282,10 @@ class FileStore:
         A no-op (returning 0) when no live-state supplier is bound —
         there is nothing authoritative to snapshot from.
         """
+        with self._write_lock:
+            return self._compact()
+
+    def _compact(self) -> int:
         if self._tables_supplier is None and self._refs_supplier is None:
             return 0
         if self._wal is None:
