@@ -19,6 +19,7 @@ message to the responsible node.  (Superset search lives in
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from collections.abc import Iterable
 
@@ -132,6 +133,14 @@ class IndexShard:
         # table and invalidated on mutation (scans vastly outnumber
         # mutations in the query experiments).
         self._scan_order: dict[TableKey, list[frozenset[str]]] = {}
+        # Scans and cache requests run on the transport's event loop,
+        # writes on handler threads, local calls on the caller's thread.
+        # The lock makes a table mutation plus its scan-order reset
+        # atomic against a scan (no scan keeps an order sorted before a
+        # write), and a fill's epoch check plus install atomic against
+        # an invalidation sweep.  Held for in-memory work only, never
+        # across store I/O or an RPC.
+        self._lock = threading.Lock()
 
     # -- query cache -------------------------------------------------------
 
@@ -176,14 +185,15 @@ class IndexShard:
         cooperative path fills, which are admission-controlled so they
         never displace demand entries (see
         :meth:`repro.core.cache.QueryCache.put`)."""
-        if epoch is not None and epoch != self.cache_epoch(namespace):
-            return False
-        return self.cache.put(
-            (namespace, logical, query),
-            results,
-            complete=complete,
-            speculative=speculative,
-        )
+        with self._lock:
+            if epoch is not None and epoch != self.cache_epoch(namespace):
+                return False
+            return self.cache.put(
+                (namespace, logical, query),
+                results,
+                complete=complete,
+                speculative=speculative,
+            )
 
     def invalidate_queries(
         self,
@@ -224,28 +234,29 @@ class IndexShard:
                 key_namespace, key_logical, _ = key
                 return key_namespace == namespace and (key_logical & logical) == key_logical
         count = 0
-        for key in self.cache.matching_keys(affected):
-            entry = self.cache.peek(key)
-            if (
-                op == "remove"
-                and entry is not None
-                and entry.complete
-                and object_id is not None
-            ):
-                patched = tuple(
-                    (cached_id, cached_keywords)
-                    for cached_id, cached_keywords in entry.results
-                    if cached_id != object_id
-                )
-                if len(patched) < len(entry.results):
-                    self.cache.replace(key, CachedResult(patched, True))
+        with self._lock:
+            for key in self.cache.matching_keys(affected):
+                entry = self.cache.peek(key)
+                if (
+                    op == "remove"
+                    and entry is not None
+                    and entry.complete
+                    and object_id is not None
+                ):
+                    patched = tuple(
+                        (cached_id, cached_keywords)
+                        for cached_id, cached_keywords in entry.results
+                        if cached_id != object_id
+                    )
+                    if len(patched) < len(entry.results):
+                        self.cache.replace(key, CachedResult(patched, True))
+                        count += 1
+                    # A complete entry not holding the object needs
+                    # nothing: the removed object never matched this query.
+                    continue
+                if self.cache.drop(key):
                     count += 1
-                # A complete entry not holding the object needs nothing:
-                # the removed object never matched this query.
-                continue
-            if self.cache.drop(key):
-                count += 1
-        self.cache_epochs[namespace] = self.cache_epoch(namespace) + 1
+            self.cache_epochs[namespace] = self.cache_epoch(namespace) + 1
         return count
 
     def cache_stats(self) -> tuple[int, int]:
@@ -255,23 +266,25 @@ class IndexShard:
     # -- local operations (also the handler bodies) -----------------------
 
     def put(self, key: TableKey, keywords: frozenset[str], object_id: str) -> None:
-        table = self.tables.setdefault(key, {})
-        table.setdefault(keywords, set()).add(object_id)
-        self._scan_order.pop(key, None)
+        with self._lock:
+            table = self.tables.setdefault(key, {})
+            table.setdefault(keywords, set()).add(object_id)
+            self._scan_order.pop(key, None)
         self.store.record_put(key[0], key[1], keywords, object_id)
         self.store.maybe_compact()
 
     def remove(self, key: TableKey, keywords: frozenset[str], object_id: str) -> bool:
-        table = self.tables.get(key)
-        if table is None or keywords not in table:
-            return False
-        objects = table[keywords]
-        objects.discard(object_id)
-        if not objects:
-            del table[keywords]
-            if not table:
-                del self.tables[key]
-        self._scan_order.pop(key, None)
+        with self._lock:
+            table = self.tables.get(key)
+            if table is None or keywords not in table:
+                return False
+            objects = table[keywords]
+            objects.discard(object_id)
+            if not objects:
+                del table[keywords]
+                if not table:
+                    del self.tables[key]
+            self._scan_order.pop(key, None)
         self.store.record_remove(key[0], key[1], keywords, object_id)
         self.store.maybe_compact()
         return True
@@ -293,29 +306,30 @@ class IndexShard:
         ships a scan reply in the binary codec's flat posting-set form
         (one pass over the strings, no per-element type bytes).
         """
-        table = self.tables.get(key)
-        if table is None:
-            return PostingList(), False
-        order = self._scan_order.get(key)
-        if order is None:
-            order = sorted(table, key=lambda k: (len(k), tuple(sorted(k))))
-            self._scan_order[key] = order
         matches: PostingList = PostingList()
         budget = limit
         truncated = False
-        for entry_keywords in order:
-            if not keywords <= entry_keywords:
-                continue
-            ordered = tuple(sorted(table[entry_keywords]))
-            if budget is not None:
-                if budget <= 0:
-                    truncated = True
-                    break
-                if len(ordered) > budget:
-                    ordered = ordered[:budget]
-                    truncated = True
-                budget -= len(ordered)
-            matches.append((entry_keywords, ordered))
+        with self._lock:
+            table = self.tables.get(key)
+            if table is None:
+                return matches, False
+            order = self._scan_order.get(key)
+            if order is None:
+                order = sorted(table, key=lambda k: (len(k), tuple(sorted(k))))
+                self._scan_order[key] = order
+            for entry_keywords in order:
+                if not keywords <= entry_keywords:
+                    continue
+                ordered = tuple(sorted(table[entry_keywords]))
+                if budget is not None:
+                    if budget <= 0:
+                        truncated = True
+                        break
+                    if len(ordered) > budget:
+                        ordered = ordered[:budget]
+                        truncated = True
+                    budget -= len(ordered)
+                matches.append((entry_keywords, ordered))
         return matches, truncated
 
     # -- churn handoff ------------------------------------------------------
@@ -324,18 +338,20 @@ class IndexShard:
         """One table's entries as deterministic ``(keywords, ids)``
         rows — the stream churn handoff ships and snapshots fold (same
         order as :func:`repro.store.wal.entry_records`)."""
-        table = self.tables.get(key, {})
-        return [
-            (sorted(keywords), sorted(table[keywords]))
-            for keywords in sorted(table, key=lambda k: (len(k), tuple(sorted(k))))
-        ]
+        with self._lock:
+            table = self.tables.get(key, {})
+            return [
+                (sorted(keywords), sorted(table[keywords]))
+                for keywords in sorted(table, key=lambda k: (len(k), tuple(sorted(k))))
+            ]
 
     def drop_table(self, key: TableKey) -> None:
         """Forget one table (it was handed off); the drop is durable, so
         a restarted node does not resurrect entries it gave away."""
-        if self.tables.pop(key, None) is None:
-            return
-        self._scan_order.pop(key, None)
+        with self._lock:
+            if self.tables.pop(key, None) is None:
+                return
+            self._scan_order.pop(key, None)
         self.store.record_drop(key[0], key[1])
         self.store.maybe_compact()
 

@@ -229,7 +229,11 @@ class _TraversalRun:
         self.remaining = threshold
         self.truncated = False
         # Coherence-epoch bookkeeping: the epoch each physical host
-        # reported with its scan, consulted when filling caches later.
+        # reported with its *first* scan of the walk, consulted when
+        # filling caches later — a write that lands after that scan
+        # bumps the host's epoch, so a fill carrying the old one is
+        # rejected.  A later scan's epoch could already include the
+        # write while an earlier scan missed it.
         self.epochs: dict[int, int] = {}
         # Cooperative-cache bookkeeping (``track=True``): per-logical
         # results, each visit's SBT dimension bound (which pins its
@@ -429,10 +433,11 @@ class SuperSetSearch:
                             "keywords": query,
                             "results": [(f.object_id, f.keywords) for f in objects],
                             "complete": complete,
-                            # Epoch from the root's own scan: a write that
-                            # raced this walk bumped it, and the fill is
-                            # then rejected instead of caching stale data.
-                            "epoch": run.epochs.get(root_physical),
+                            # The root's epoch from before the walk's
+                            # first scan: a write that raced this walk
+                            # bumped it, and the fill is then rejected
+                            # instead of caching stale data.
+                            "epoch": cached["epoch"],
                         },
                     )
                 fills = 0
@@ -949,7 +954,7 @@ class SuperSetSearch:
             if outcome.ok:
                 reply = outcome.value
                 if run is not None and "epoch" in reply:
-                    run.epochs[physical] = reply["epoch"]
+                    run.epochs.setdefault(physical, reply["epoch"])
                 if reply.get("cache_hit"):
                     found = [
                         FoundObject(object_id, entry_keywords)
@@ -1103,7 +1108,7 @@ class SuperSetSearch:
             payload["consult"] = True
         reply = self.channel.rpc(sender, physical, "hindex.scan", payload)
         if run is not None and "epoch" in reply:
-            run.epochs[physical] = reply["epoch"]
+            run.epochs.setdefault(physical, reply["epoch"])
         if reply.get("cache_hit"):
             found = [
                 FoundObject(object_id, entry_keywords)

@@ -1,5 +1,7 @@
 """Unit tests for the hypercube index (shards, Insert/Delete/Pin)."""
 
+import sys
+import threading
 
 from repro.core.index import HypercubeIndex, IndexShard
 from repro.dht.chord import ChordNetwork
@@ -103,6 +105,81 @@ class TestShardScan:
         shard.remove(key, frozenset({"a"}), "general")
         matches, _ = shard.scan(key, frozenset({"a"}), None)
         assert all("general" not in ids for _, ids in matches)
+
+    def test_scans_racing_writes_never_keep_a_stale_order(self):
+        # Scans run on the transport's event loop while writes run on
+        # handler threads.  A scan that sorted the table before a write
+        # and stored the order after it would serve that stale order —
+        # missing entries, or raising on removed ones — until the next
+        # write to the table.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                shard = IndexShard()
+                key = ("main", 1)
+                for i in range(200):
+                    shard.put(key, frozenset({"a", f"k{i}"}), f"o{i}")
+                stop = threading.Event()
+                errors: list[BaseException] = []
+
+                def scanner():
+                    try:
+                        while not stop.is_set():
+                            shard.scan(key, frozenset({"a"}), None)
+                    except BaseException as error:  # noqa: BLE001 - reported below
+                        errors.append(error)
+
+                thread = threading.Thread(target=scanner)
+                thread.start()
+                for i in range(200, 320):
+                    shard.put(key, frozenset({"a", f"k{i}"}), f"o{i}")
+                    if i % 3 == 0:
+                        shard.remove(key, frozenset({"a", f"k{i - 100}"}), f"o{i - 100}")
+                stop.set()
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+                assert errors == []
+                matches, _ = shard.scan(key, frozenset({"a"}), None)
+                found = {object_id for _, ids in matches for object_id in ids}
+                assert found == {o for ids in shard.tables[key].values() for o in ids}
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_fill_and_an_invalidation_sweep_never_interleave(self):
+        # A fill checks the epoch, then installs.  A sweep that ran
+        # between the two would bump the epoch with nothing to drop,
+        # and the pre-write fill would then be installed for good.
+        shard = IndexShard(cache_capacity=8)
+        query = frozenset({"a"})
+        install = shard.cache.put
+        entered, proceed = threading.Event(), threading.Event()
+
+        def slow_install(*args, **kwargs):
+            entered.set()
+            proceed.wait(timeout=5)
+            return install(*args, **kwargs)
+
+        shard.cache.put = slow_install
+        fill = threading.Thread(
+            target=shard.cache_put,
+            args=("main", 1, query, (("o", query),)),
+            kwargs={"complete": True, "epoch": shard.cache_epoch("main")},
+        )
+        sweep = threading.Thread(
+            target=shard.invalidate_queries,
+            args=("main",),
+            kwargs={"keywords": frozenset({"a", "b"})},
+        )
+        fill.start()
+        assert entered.wait(timeout=5)
+        sweep.start()
+        sweep.join(timeout=0.2)  # the sweep waits for the fill to finish
+        proceed.set()
+        fill.join(timeout=5)
+        sweep.join(timeout=5)
+        assert not fill.is_alive() and not sweep.is_alive()
+        assert shard.cache.peek(("main", 1, query)) is None
 
 
 class TestNetworkedIndex:
