@@ -4,9 +4,14 @@ One transport object hosts any number of local endpoints — one asyncio
 TCP server per registered address — plus a pooled client side that
 correlates requests with replies by request id.  A single event loop
 runs on a dedicated daemon thread; protocol code stays synchronous
-(:meth:`AsyncioTransport.rpc` blocks the calling thread), while
-handlers for *incoming* requests run on a thread pool so they may
-themselves issue nested RPCs through the loop without deadlocking.
+(:meth:`AsyncioTransport.rpc` blocks the calling thread).  Handlers
+for *incoming* requests run in one of two places.  The in-memory leaf
+kinds in :data:`LOOP_KINDS` (scans, pins, cache reads and fills,
+directory and reference reads, routing steps) run inline on the loop
+thread, which writes their reply at once.  Every other kind runs on a
+thread pool, so it may issue nested RPCs through the loop or do store
+I/O without stalling frame IO.  A remote call issued on the loop
+thread raises :class:`RuntimeError` instead of deadlocking.
 
 Design points, mirrored from the simulator so the protocol layers
 cannot tell the media apart:
@@ -42,6 +47,8 @@ cannot tell the media apart:
   priority so shedding can spare prioritized traffic.  Admitted
   requests are dispatched concurrently per connection (a task each),
   so one slow handler no longer serializes a connection's pipeline.
+  With admission on, :data:`LOOP_KINDS` take the pool path too: an
+  inline request would escape the bound on admitted requests.
 * **Clock.**  :meth:`now` / :meth:`sleep` expose wall-clock time scaled
   by ``time_scale`` (seconds per transport time unit, default 1 ms), so
   a :class:`~repro.sim.resilience.RetryPolicy` written in simulator
@@ -96,7 +103,31 @@ __all__ = ["AsyncioTransport"]
 
 DEFAULT_RPC_TIMEOUT_S = 10.0
 
+#: Request kinds served inline on the event loop.  A loop kind's handler
+#: touches only in-memory state: it never issues an RPC, never takes a
+#: lock that a pool thread might hold across an RPC, and never does
+#: store I/O — so it cannot block the loop, and skipping the handler
+#: pool saves two cross-thread wake-ups and a task per request.  Every
+#: other kind (the store writers, ``memb.*``, anything unlisted) runs on
+#: the pool.  Add a kind only after reading its handler.
+LOOP_KINDS = frozenset(
+    {
+        "hindex.scan",
+        "hindex.pin",
+        "hindex.cache_get",
+        "hindex.cache_put",
+        "hindex.cache_invalidate",
+        "hindex.snapshot",
+        "hindex.results",
+        "pfx.node",
+        "dolr.read_ref",
+        "chord.route_step",
+    }
+)
+
 _ADVERT = (CODEC_JSON, CODEC_BINARY)
+
+_BLOCKS_LOOP = "a remote call from the transport's event loop thread would block the event loop"
 
 
 async def _read_frame(
@@ -221,6 +252,7 @@ class AsyncioTransport:
             target=self._loop.run_forever, name="repro-net-loop", daemon=True
         )
         self._thread.start()
+        self._loop_ident = self._thread.ident
 
     # -- lifecycle ----------------------------------------------------
 
@@ -282,7 +314,20 @@ class AsyncioTransport:
         if self.closed:
             coroutine.close()
             raise RuntimeError("transport is closed")
+        if threading.get_ident() == self._loop_ident:
+            coroutine.close()
+            raise RuntimeError(_BLOCKS_LOOP)
         return asyncio.run_coroutine_threadsafe(coroutine, self._loop).result(timeout)
+
+    def _refuse_on_loop(self) -> None:
+        """Fail fast where a blocking call would park the event loop.
+
+        A handler served inline (a :data:`LOOP_KINDS` request) runs on
+        the loop thread; a remote call from there would wait for a
+        reply that only that same thread can read.
+        """
+        if threading.get_ident() == self._loop_ident:
+            raise RuntimeError(_BLOCKS_LOOP)
 
     # -- membership ---------------------------------------------------
 
@@ -415,6 +460,7 @@ class AsyncioTransport:
             if dst in self._failed:
                 raise PeerUnreachableError(dst, "failed")
             return self._handlers[dst](Message(src, dst, kind, payload))
+        self._refuse_on_loop()
         timeout_s = self.rpc_timeout if timeout is None else max(timeout * self.time_scale, 0.001)
         frame = Frame(
             FrameType.REQUEST,
@@ -498,6 +544,7 @@ class AsyncioTransport:
                 except Exception as error:  # noqa: BLE001 - per-call outcome
                     outcomes[position] = RpcOutcome.failure(error)
                 continue
+            self._refuse_on_loop()
             timeout_s = (
                 self.rpc_timeout
                 if call.timeout is None
@@ -878,6 +925,13 @@ class AsyncioTransport:
                         except Exception:  # noqa: BLE001 - datagrams have no reply path
                             self.metrics.increment("net.datagram_handler_errors")
                     continue
+                if self.admission is None and frame.kind in LOOP_KINDS:
+                    # An in-memory leaf handler: answered inline, with no
+                    # task and no handler-pool hop.  Admission bounds
+                    # handler threads, so with it on every kind is pooled.
+                    reply = self._run_handler(address, frame)
+                    await self._write_frame(writer, write_lock, reply, tx_codec)
+                    continue
                 if self.admission is not None and not self.admission.try_admit(
                     address, frame.priority
                 ):
@@ -939,7 +993,12 @@ class AsyncioTransport:
     ) -> None:
         """Dispatch one admitted request and write its reply."""
         try:
-            reply = await self._dispatch_request(address, frame)
+            # Pooled handlers may issue nested RPCs (which block their
+            # thread on this loop) or do store I/O without stalling
+            # frame IO.
+            reply = await self._loop.run_in_executor(
+                self._executor, self._run_handler, address, frame
+            )
             try:
                 await self._write_frame(writer, write_lock, reply, tx_codec)
             except (ConnectionError, OSError):
@@ -948,7 +1007,8 @@ class AsyncioTransport:
             if self.admission is not None:
                 self.admission.release(address)
 
-    async def _dispatch_request(self, address: int, frame: Frame) -> Frame:
+    def _run_handler(self, address: int, frame: Frame) -> Frame:
+        """Call the endpoint's handler on one request; its REPLY or ERROR frame."""
         handler = self._handlers.get(address)
         if handler is None:
             return Frame(
@@ -961,10 +1021,7 @@ class AsyncioTransport:
             )
         message = Message(frame.src, address, frame.kind, frame.payload)
         try:
-            # Handlers run on the thread pool: they may issue nested
-            # RPCs (which block their thread on this loop) without
-            # stalling frame IO.
-            result = await self._loop.run_in_executor(self._executor, handler, message)
+            result = handler(message)
         except Exception as error:  # noqa: BLE001 - ferried to the caller
             return Frame(
                 FrameType.ERROR,

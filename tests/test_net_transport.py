@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.net.admission import AdmissionPolicy
 from repro.net.aio import AsyncioTransport
 from repro.net.errors import (
     PeerUnreachableError,
@@ -134,6 +135,50 @@ class TestTransportContract:
         transport.register(1, echo_handler)
         transport.register(2, relay)
         assert transport.rpc(1, 2, "test.relay", {"x": 21}) == {"leaf": 42}
+
+    @pytest.mark.parametrize(
+        "nested",
+        [
+            lambda t: t.rpc(2, 3, "test.leaf", {}),
+            lambda t: t.rpc_many([RpcCall(2, 3, "test.leaf", {})]),
+            lambda t: t.send(2, 3, "test.leaf", {}),
+            lambda t: t.gossip(2, 424242, {}),
+        ],
+        ids=["rpc", "rpc_many", "send", "gossip"],
+    )
+    def test_remote_call_from_a_loop_kind_handler_fails_fast(self, transport, nested):
+        # A loop kind's handler runs on the event loop thread: a remote
+        # call from there raises at once instead of parking the loop
+        # until the reply wait gives up.
+        transport.register(3, lambda m: {"leaf": True})
+        transport.register(2, lambda m: nested(transport))
+        transport.register(1, echo_handler)
+        started = time.monotonic()
+        with pytest.raises(RemoteHandlerError) as info:
+            transport.rpc(1, 2, "hindex.pin", {})
+        assert time.monotonic() - started < 1.0
+        assert info.value.error_type == "RuntimeError"
+        assert "would block the event loop" in info.value.remote_message
+        # A local call from the loop thread stays allowed.
+        transport.register(
+            2,
+            lambda m: {"local": True}
+            if m.kind == "test.self"
+            else transport.rpc(2, 2, "test.self", {}),
+        )
+        assert transport.rpc(1, 2, "hindex.pin", {}) == {"local": True}
+
+    def test_loop_kinds_run_inline_unless_admission_is_on(self):
+        def where(message):
+            return threading.current_thread().name
+
+        for admission, pin_thread in ((None, "repro-net-loop"),
+                                      (AdmissionPolicy(max_inflight=4), "repro-net-handler")):
+            with AsyncioTransport(admission=admission) as transport:
+                transport.register(1, echo_handler)
+                transport.register(2, where)
+                assert transport.rpc(1, 2, "hindex.pin", {}).startswith(pin_thread)
+                assert transport.rpc(1, 2, "test.work", {}).startswith("repro-net-handler")
 
     def test_concurrent_rpcs_multiplex_one_connection(self, transport):
         transport.register(1, echo_handler)
