@@ -4,11 +4,11 @@ Section 3.5's trade made measurable: the PARALLEL order answers a
 superset query in ``r - |One| + 1`` RPC rounds where the sequential
 TOP_DOWN walk pays one round trip per subcube node, at the same total
 message cost.  A 16-node loopback cluster runs both orders for query
-sizes m ∈ {1, 2, 3}; every node handler is wrapped with a small
-emulated wire delay (loopback round trips are ~0.1 ms, far below any
-real deployment) so the measured wall-clock is dominated by the
-latency the paper's round model counts, not by Python dispatch
-overhead.
+sizes m ∈ {1, 2, 3}; every remote round trip pays a small emulated
+wire delay (loopback round trips are ~0.1 ms, far below any real
+deployment), once per RPC and once per batch, so the measured
+wall-clock is dominated by the latency the paper's round model counts,
+not by Python dispatch overhead.
 """
 
 import pathlib
@@ -31,20 +31,30 @@ REPETITIONS = 3
 
 
 def emulate_wire_delay(transport, delay_s: float) -> None:
-    """Make every delivered request pay ``delay_s`` of one-way latency.
+    """Make every remote round trip pay ``delay_s`` of wire latency.
 
-    The sleep happens inside the handler, i.e. in the transport's
-    handler thread pool — so concurrently in-flight requests overlap
-    their delays exactly as real wire latency would.
+    The calling thread sleeps once per remote ``rpc`` and once per
+    ``rpc_many`` batch: one round trip per round, as Section 3.5 counts
+    rounds, so requests in flight together share one delay as they
+    would on a real link.  The delay sits on the caller, not in the
+    handlers: a handler served on the transport's event loop would
+    otherwise hold up every other request for the sleep's length.
+    Local calls (``src == dst``) stay free.
     """
-    for address in sorted(transport.addresses()):
-        original = transport._handlers[address]
+    rpc, rpc_many = transport.rpc, transport.rpc_many
 
-        def delayed(message, _inner=original):
+    def delayed_rpc(src, dst, kind, payload=None, **options):
+        if src != dst:
             time.sleep(delay_s)
-            return _inner(message)
+        return rpc(src, dst, kind, payload, **options)
 
-        transport.register(address, delayed)
+    def delayed_rpc_many(calls):
+        if any(call.src != call.dst for call in calls):
+            time.sleep(delay_s)
+        return rpc_many(calls)
+
+    transport.rpc = delayed_rpc
+    transport.rpc_many = delayed_rpc_many
 
 
 def run(

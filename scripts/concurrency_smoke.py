@@ -6,9 +6,9 @@ The scenario CI runs end-to-end:
 1. build a 16-node loopback-TCP cluster (one ``AsyncioTransport``, one
    listening socket per node) and a same-seed simulator twin, publish
    the same corpus through both;
-2. wrap every cluster handler with a small emulated wire delay, so
-   wall-clock differences reflect round trips rather than Python
-   dispatch overhead;
+2. make every remote round trip (one per RPC, one per batch) pay a
+   small emulated wire delay, so wall-clock differences reflect round
+   trips rather than Python dispatch overhead;
 3. for query sizes m ∈ {1, 2, 3}, run superset search in PARALLEL and
    TOP_DOWN order on the cluster and in every order on the simulator;
 4. assert (a) the cluster's result sets match the simulator's
@@ -50,16 +50,30 @@ def corpus() -> list[tuple[str, set[str]]]:
 
 
 def emulate_wire_delay(transport, delay_s: float) -> None:
-    """One-way latency per delivered request, overlapping for requests
-    in flight together (the sleep runs in the handler thread pool)."""
-    for address in sorted(transport.addresses()):
-        original = transport._handlers[address]
+    """Make every remote round trip pay ``delay_s`` of wire latency.
 
-        def delayed(message, _inner=original):
+    The calling thread sleeps once per remote ``rpc`` and once per
+    ``rpc_many`` batch: one round trip per round, as Section 3.5 counts
+    rounds, so requests in flight together share one delay as they
+    would on a real link.  The delay sits on the caller, not in the
+    handlers: a handler served on the transport's event loop would
+    otherwise hold up every other request for the sleep's length.
+    Local calls (``src == dst``) stay free.
+    """
+    rpc, rpc_many = transport.rpc, transport.rpc_many
+
+    def delayed_rpc(src, dst, kind, payload=None, **options):
+        if src != dst:
             time.sleep(delay_s)
-            return _inner(message)
+        return rpc(src, dst, kind, payload, **options)
 
-        transport.register(address, delayed)
+    def delayed_rpc_many(calls):
+        if any(call.src != call.dst for call in calls):
+            time.sleep(delay_s)
+        return rpc_many(calls)
+
+    transport.rpc = delayed_rpc
+    transport.rpc_many = delayed_rpc_many
 
 
 def timed_search(service, query, order):
