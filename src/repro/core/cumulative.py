@@ -12,14 +12,13 @@ truncated is re-scanned and its already-served prefix skipped).
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.core.index import HypercubeIndex
 from repro.core.keywords import normalize_keywords
-from repro.core.search import FoundObject, NodeVisit
-from repro.util import bitops
+from repro.core.search import FoundObject, NodeVisit, decode_scan
+from repro.hypercube.sbt import SbtFrontier
 
 __all__ = ["CumulativeBatch", "CumulativeSearchSession"]
 
@@ -36,9 +35,10 @@ class CumulativeBatch:
 class CumulativeSearchSession:
     """A stateful superset search rooted at ``F_h(K)``.
 
-    State kept across batches (conceptually at the root node): the FIFO
-    queue ``U``, the node currently being drained, and how many of its
-    objects have been served.
+    State kept across batches (conceptually at the root node): the
+    T_QUERY frontier (:class:`~repro.hypercube.sbt.SbtFrontier`), the
+    entry currently being drained, and how many of its objects have been
+    served.
     """
 
     def __init__(
@@ -54,18 +54,16 @@ class CumulativeSearchSession:
         self.root_logical = index.mapper.node_for(self.query)
         route = index.mapping.route_to(self.root_logical, origin=self.origin)
         self.root_physical = route.owner
-        dimension = index.cube.dimension
-        self._queue: deque[tuple[int, int]] = deque([(self.root_logical, dimension)])
-        self._current: tuple[int, int] | None = None
+        self._frontier = SbtFrontier(self.root_logical, index.cube.dimension)
+        self._current: tuple[int, int, int] | None = None
         self._served_of_current = 0
-        self._exhausted = False
         self._visit_counter = 0
         self._total_served = 0
 
     @property
     def exhausted(self) -> bool:
         """True once the whole subhypercube has been drained."""
-        return self._exhausted
+        return self._current is None and self._frontier.done
 
     @property
     def total_served(self) -> int:
@@ -77,41 +75,28 @@ class CumulativeSearchSession:
             raise ValueError(f"count must be >= 1, got {count}")
         objects: list[FoundObject] = []
         visits: list[NodeVisit] = []
-        while len(objects) < count and not self._exhausted:
+        while len(objects) < count and not self.exhausted:
             if self._current is None:
-                if not self._queue:
-                    self._exhausted = True
-                    break
-                self._current = self._queue.popleft()
+                [self._current], _ = self._frontier.next_batch()
                 self._served_of_current = 0
-            node, d = self._current
+            node, _, depth = self._current
             need = count - len(objects)
-            found, drained = self._scan_node(node, self._served_of_current, need)
+            found, drained, physical = self._scan_node(node, self._served_of_current, need)
             objects.extend(found)
             self._served_of_current += len(found)
             self._total_served += len(found)
-            visits.append(
-                NodeVisit(
-                    self._visit_counter,
-                    node,
-                    self.index.mapping.physical_owner(node),
-                    bitops.popcount(node ^ self.root_logical),
-                    len(found),
-                    0,
-                )
-            )
+            visits.append(NodeVisit(self._visit_counter, node, physical, depth, len(found), 0))
             self._visit_counter += 1
             if drained:
-                self._enqueue_children(node, d)
+                # Only now is the node's continuation list queued.
+                self._frontier.absorb([(self._served_of_current, False, False)])
                 self._current = None
-        if not self._queue and self._current is None:
-            self._exhausted = True
-        return CumulativeBatch(tuple(objects), tuple(visits), self._exhausted)
+        return CumulativeBatch(tuple(objects), tuple(visits), self.exhausted)
 
     def drain(self, batch_size: int = 64) -> list[FoundObject]:
         """Serve everything remaining, for tests and small cubes."""
         everything: list[FoundObject] = []
-        while not self._exhausted:
+        while not self.exhausted:
             batch = self.next_batch(batch_size)
             everything.extend(batch.objects)
             if not batch.objects and batch.exhausted:
@@ -122,18 +107,18 @@ class CumulativeSearchSession:
 
     def _scan_node(
         self, logical: int, skip: int, need: int
-    ) -> tuple[list[FoundObject], bool]:
+    ) -> tuple[list[FoundObject], bool, int]:
         """Scan one node, skipping the ``skip`` objects served earlier.
 
-        Returns (newly served objects, node fully drained?).  The skip
-        re-reads previously returned IDs — the price of keeping only a
-        cursor at the root, as the paper's design implies.
+        Returns (newly served objects, node fully drained?, the host
+        scanned).  The skip re-reads previously returned IDs — the price
+        of keeping only a cursor at the root, as the paper's design
+        implies.
         """
         dolr = self.index.dolr
         physical = self.index.mapping.physical_owner(logical)
-        sender = self.root_physical
         reply = dolr.rpc_at(
-            sender,
+            self.root_physical,
             physical,
             "hindex.scan",
             {
@@ -143,21 +128,11 @@ class CumulativeSearchSession:
                 "limit": skip + need,
             },
         )
-        flat = [
-            FoundObject(object_id, entry_keywords)
-            for entry_keywords, object_ids in reply["matches"]
-            for object_id in object_ids
-        ]
+        flat, cut, _ = decode_scan(reply)
         fresh = flat[skip:]
-        drained = not reply["truncated"] and len(flat) <= skip + need
+        drained = not cut and len(flat) <= skip + need
         if fresh and physical != self.origin:
             dolr.network.send(
                 physical, self.origin, "hindex.results", {"count": len(fresh)}, deliver=False
             )
-        return fresh, drained
-
-    def _enqueue_children(self, node: int, d: int) -> None:
-        dimension = self.index.cube.dimension
-        for i in range(dimension - 1, -1, -1):
-            if i < d and not (node >> i) & 1:
-                self._queue.append((node | (1 << i), i))
+        return fresh, drained, physical

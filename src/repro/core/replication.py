@@ -186,22 +186,20 @@ class ReplicatedSuperSetSearch(SuperSetSearch):
         origin: int,
         logical: int,
         physical: int | None,
-        via: int | None,
+        sender: int,
     ) -> tuple[int | None, int, tuple[list[FoundObject], str] | None]:
         """Target the primary's true placement owner; when that node is
         dead, settle the visit straight from the replicas.
 
         This also covers the root visit, where DHT surrogate routing
         would otherwise deliver the query to an empty stand-in node and
-        the primary's data loss would go unnoticed.  Because this hook
-        is shared by the sequential and the level-batched dispatch
-        paths, the replica failover applies identically to PARALLEL
-        searches.
+        the primary's data loss would go unnoticed.  Every traversal
+        order resolves its visits through this hook, so the replica
+        failover applies identically to all of them.
         """
         owner = self.index.mapping.physical_owner(logical)
         network = self.index.dolr.network
         if not network.is_alive(owner):
-            sender = via if via is not None else origin
             fallback = self._visit_fallback(sender, logical, query, remaining)
             found = fallback or []
             if found and sender != origin:
@@ -221,10 +219,7 @@ class ReplicatedSuperSetSearch(SuperSetSearch):
         for index in self.replicated.indexes[1:]:
             physical = index.mapping.physical_owner(logical)
             try:
-                found, _, _ = self._scan_rpc(
-                    sender, physical, index.namespace, logical, query, remaining
-                )
-                return found
+                return self._scan(sender, physical, index.namespace, logical, query, remaining)
             except PeerUnreachableError:
                 continue
         return None

@@ -18,13 +18,13 @@ the returned samples, with no global statistics.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from collections.abc import Iterable
 
 from repro.core.index import HypercubeIndex
 from repro.core.keywords import normalize_keywords
 from repro.core.search import FoundObject, SuperSetSearch
+from repro.hypercube.sbt import SbtFrontier
 
 __all__ = ["Refinement", "SampleResult", "SampledSearch", "suggest_refinements"]
 
@@ -98,7 +98,6 @@ class SampledSearch:
         origin = dolr.any_address() if origin is None else origin
         root = index.mapper.node_for(query)
         route = index.mapping.route_to(root, origin=origin)
-        dimension = index.cube.dimension
 
         categories: dict[frozenset[str], list[FoundObject]] = {}
         visits = 0
@@ -119,25 +118,21 @@ class SampledSearch:
                 if len(group) < per_category:
                     group.append(sample)
 
-        queue: deque[tuple[int, int]] = deque([(root, dimension)])
+        frontier = SbtFrontier(root, index.cube.dimension)
         exhaustive = True
-        while queue:
+        while not frontier.done:
             if full() or (max_visits is not None and visits >= max_visits):
                 exhaustive = False
                 break
-            node, d = queue.popleft()
+            [(node, _, _)], _ = frontier.next_batch()
             physical = (
                 route.owner if node == root else index.mapping.physical_owner(node)
             )
             sender = origin if node == root else route.owner
-            found, _, _ = self._searcher._scan_rpc(
-                sender, physical, index.namespace, node, query, None
-            )
+            found = self._searcher._scan(sender, physical, index.namespace, node, query, None)
             visits += 1
             absorb(found)
-            for i in range(dimension - 1, -1, -1):
-                if i < d and not (node >> i) & 1:
-                    queue.append((node | (1 << i), i))
+            frontier.absorb([(len(found), False, False)])
         return SampleResult(
             query=query,
             categories={key: tuple(group) for key, group in categories.items()},
