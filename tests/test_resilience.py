@@ -5,6 +5,8 @@ import random
 import pytest
 
 from repro.core.config import ServiceConfig
+from repro.core.sampling import SampledSearch
+from repro.core.search import SuperSetSearch
 from repro.core.service import KeywordSearchService
 from repro.net.transport import RpcCall
 from repro.sim.events import EventScheduler
@@ -306,6 +308,50 @@ class TestSearchUnderFailures:
         # Same failure, resilient channel: degrades, must not raise.
         result = resilient.superset_search({"x"}, origin=origins[resilient])
         assert result.degraded_visits
+
+
+    @pytest.fixture()
+    def four_down(self):
+        """A resilient 16-node fleet with 300 objects and 4 non-origin
+        hosts failed; yields (service, origin, the objects carrying
+        "mp3")."""
+        genres = ["jazz", "rock", "pop", "folk", "blues", "soul", "punk", "metal"]
+        service = KeywordSearchService.create(
+            ServiceConfig(dimension=6, num_dht_nodes=16, seed=3).with_resilience(RetryPolicy())
+        )
+        truth = set()
+        for i in range(300):
+            keywords = {"mp3" if i % 3 else "flac", genres[i % 8], genres[i // 8 % 8], f"y{i % 5}"}
+            service.publish(f"song-{i}", keywords)
+            if "mp3" in keywords:
+                truth.add(f"song-{i}")
+        origin, *others = service.dolr.addresses()
+        for victim in others[:4]:
+            service.network.fail(victim)
+        return service, origin, truth
+
+    def test_sampled_search_degrades_like_superset_search(self, four_down):
+        service, origin, truth = four_down
+        assert SuperSetSearch(service.index).run({"mp3"}, origin=origin).degraded
+        sample = SampledSearch(service.index).run(
+            {"mp3"}, per_category=100, max_categories=1000, origin=origin
+        )
+        assert not sample.exhaustive
+        assert sample.degraded_visits
+        assert all(visit.degraded for visit in sample.degraded_visits)
+        assert {found.object_id for found in sample.samples()} <= truth
+
+    def test_cumulative_session_degrades_like_superset_search(self, four_down):
+        service, origin, truth = four_down
+        session = service.cumulative_search({"mp3"}, origin=origin)
+        served, degraded = [], []
+        while not session.exhausted:
+            batch = session.next_batch(16)
+            served.extend(found.object_id for found in batch.objects)
+            degraded.extend(visit for visit in batch.visits if visit.degraded)
+        assert degraded
+        assert len(served) == len(set(served))
+        assert set(served) <= truth
 
 
 class TestResilientChannelBatch:
