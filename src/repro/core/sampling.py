@@ -23,20 +23,28 @@ from collections.abc import Iterable
 
 from repro.core.index import HypercubeIndex
 from repro.core.keywords import normalize_keywords
-from repro.core.search import FoundObject, SuperSetSearch
+from repro.core.search import FoundObject, NodeVisit, SuperSetSearch
 from repro.hypercube.sbt import SbtFrontier
+from repro.net.errors import PeerUnreachableError
 
 __all__ = ["Refinement", "SampleResult", "SampledSearch", "suggest_refinements"]
 
 
 @dataclass(frozen=True)
 class SampleResult:
-    """Samples grouped by extra-keyword category."""
+    """Samples grouped by extra-keyword category.
+
+    ``degraded_visits`` are the visits whose host was unreachable and
+    that the superset search's failure ladder served instead (their
+    entries may be missing); any of them makes the sample non-
+    ``exhaustive``.
+    """
 
     query: frozenset[str]
     categories: dict[frozenset[str], tuple[FoundObject, ...]]
     visits: int
     exhaustive: bool
+    degraded_visits: tuple[NodeVisit, ...] = ()
 
     @property
     def num_categories(self) -> int:
@@ -86,7 +94,10 @@ class SampledSearch:
 
         Walks the induced subhypercube breadth-first (the T_QUERY order)
         and stops early once ``max_categories`` categories each hold
-        ``per_category`` samples, or after ``max_visits`` nodes.
+        ``per_category`` samples, or after ``max_visits`` nodes.  An
+        unreachable node degrades exactly as in
+        :class:`~repro.core.search.SuperSetSearch` (or raises where it
+        would).
         """
         if per_category < 1:
             raise ValueError(f"per_category must be >= 1, got {per_category}")
@@ -120,16 +131,25 @@ class SampledSearch:
 
         frontier = SbtFrontier(root, index.cube.dimension)
         exhaustive = True
+        degraded: list[NodeVisit] = []
         while not frontier.done:
             if full() or (max_visits is not None and visits >= max_visits):
                 exhaustive = False
                 break
-            [(node, _, _)], _ = frontier.next_batch()
+            [(node, _, depth)], _ = frontier.next_batch()
             physical = (
                 route.owner if node == root else index.mapping.physical_owner(node)
             )
             sender = origin if node == root else route.owner
-            found = self._searcher._scan(sender, physical, index.namespace, node, query, None)
+            try:
+                found = self._searcher._scan(sender, physical, index.namespace, node, query, None)
+            except PeerUnreachableError as error:
+                found, status, surrogate, hops = self._searcher._failure_ladder(
+                    sender, node, query, None, error
+                )
+                host = physical if surrogate is None else surrogate
+                degraded.append(NodeVisit(visits, node, host, depth, len(found), hops, status))
+                exhaustive = False
             visits += 1
             absorb(found)
             frontier.absorb([(len(found), False, False)])
@@ -138,6 +158,7 @@ class SampledSearch:
             categories={key: tuple(group) for key, group in categories.items()},
             visits=visits,
             exhaustive=exhaustive,
+            degraded_visits=tuple(degraded),
         )
 
 
