@@ -206,10 +206,10 @@ class SearchOptions:
 
     ``prefix`` switches the query to prefix mode (docs/protocol.md
     §17): the query string is a keyword *prefix*, resolved through the
-    service's keyword directory and expanded keyword-by-keyword under
-    the shared ``threshold``/``deadline`` budget.  ``max_expansions``
-    bounds how many matched keywords the directory enumerates per query
-    (None: unbounded).  Both fields are appended after the existing
+    service's keyword directory and answered from the directory rows
+    it reads, cut to ``threshold``; ``use_cache`` does not apply.
+    ``max_expansions`` bounds how many matched keywords the directory
+    enumerates per query (None: unbounded).  Both fields are appended after the existing
     seven, keeping positional callers unaffected.
     """
 

@@ -133,7 +133,7 @@ class KeywordSearchService:
         publishes/unpublishes maintain it and prefix queries run over
         it."""
         self.directory = directory
-        self.prefix_searcher = PrefixSearch(directory, self.searcher)
+        self.prefix_searcher = PrefixSearch(directory)
 
     # -- construction -----------------------------------------------------
 
@@ -255,7 +255,7 @@ class KeywordSearchService:
             # of an object registers its keywords (per-object records,
             # so later copies and repair re-pushes are idempotent).
             for keyword in sorted(normalized):
-                self.directory.add_keyword(keyword, object_id, origin=holder)
+                self.directory.add_keyword(keyword, object_id, normalized, origin=holder)
         record = PublishedObject(object_id, normalized, holder)
         self._published[(object_id, holder)] = record
         return record
@@ -271,7 +271,9 @@ class KeywordSearchService:
             last_copy = self.index.delete(object_id, record.keywords, holder)
         if last_copy and self.directory is not None:
             for keyword in sorted(record.keywords):
-                self.directory.remove_keyword(keyword, object_id, origin=holder)
+                self.directory.remove_keyword(
+                    keyword, object_id, record.keywords, origin=holder
+                )
 
     def published_count(self) -> int:
         return len(self._published)
@@ -335,7 +337,6 @@ class KeywordSearchService:
         *,
         origin: int | None = None,
         order: TraversalOrder = TraversalOrder.TOP_DOWN,
-        use_cache: bool | None = None,
         trace: bool = False,
         max_expansions: int | None = None,
         options: SearchOptions | None = None,
@@ -345,8 +346,10 @@ class KeywordSearchService:
 
         Needs ``ServiceConfig(prefix_directory=True)``.  Knobs mirror
         :meth:`superset_search`; ``options`` wins when supplied, and its
-        ``deadline``/``priority`` establish one QoS scope shared by the
-        directory resolution and every keyword expansion.
+        ``deadline``/``priority`` establish the QoS scope of the
+        directory resolution.  ``options.use_cache`` does not apply: the
+        answer comes from directory rows, never from the index or its
+        query caches.
         """
         if self.prefix_searcher is None:
             raise RuntimeError(
@@ -359,20 +362,16 @@ class KeywordSearchService:
             threshold = options.threshold
             origin = options.origin
             order = options.order
-            use_cache = options.use_cache
             trace = options.trace
             priority = options.priority
             deadline = options.deadline
             max_expansions = options.max_expansions
-        if use_cache is None:
-            use_cache = self.index.cache_capacity > 0
         if priority == 0 and deadline is None:
             return self.prefix_searcher.run(
                 prefix,
                 threshold,
                 origin=origin,
                 order=order,
-                use_cache=use_cache,
                 trace=trace,
                 max_expansions=max_expansions,
             )
@@ -383,7 +382,6 @@ class KeywordSearchService:
                 threshold,
                 origin=origin,
                 order=order,
-                use_cache=use_cache,
                 trace=trace,
                 max_expansions=max_expansions,
             )
