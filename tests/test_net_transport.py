@@ -362,3 +362,44 @@ class TestBatchRpcOverSockets:
 
     def test_empty_batch_is_a_noop(self, transport):
         assert transport.rpc_many([]) == []
+
+    def test_batch_errors_match_what_rpc_raises(self):
+        """Each call of a mixed batch fails with the type ``rpc`` raises
+        for the same call: a healthy call, an unregistered endpoint, a
+        handler error and a reply wait that expires."""
+        with AsyncioTransport(rpc_timeout=5.0) as transport:
+            self.register_trio(transport)
+            transport.unregister(3)
+
+            def boom(message):
+                raise RuntimeError("poisoned")
+
+            transport.register(4, boom)
+            transport.register(5, echo_handler)
+            transport.fail(5)
+            calls = [
+                RpcCall(1, 2, "test.ping", {"n": 0}),
+                RpcCall(1, 3, "test.ping", {"n": 1}),
+                RpcCall(1, 4, "test.ping", {"n": 2}),
+                RpcCall(1, 5, "test.ping", {"n": 3}, timeout=100),
+            ]
+            single = []
+            for call in calls:
+                try:
+                    single.append(
+                        transport.rpc(
+                            call.src, call.dst, call.kind, call.payload, timeout=call.timeout
+                        )
+                    )
+                except Exception as error:  # noqa: BLE001 - compared below
+                    single.append(error)
+            batch = transport.rpc_many(calls)
+        assert batch[0].unwrap() == single[0] == {"from": 2, "n": 0}
+        assert [type(outcome.error) for outcome in batch[1:]] == [
+            type(error) for error in single[1:]
+        ]
+        assert [type(error) for error in single[1:]] == [
+            PeerUnreachableError,
+            RemoteHandlerError,
+            RpcTimeoutError,
+        ]
