@@ -196,15 +196,36 @@ class SimulatedNetwork:
             raise ValueError(f"count must be >= 1, got {count}")
         self._busy_budget[address] += count
 
-    def _shed_if_busy(self, request: Message) -> None:
-        """Consume one injected-busy token, raising the shed error."""
-        if self._busy_budget.get(request.dst, 0) > 0:
-            self._busy_budget[request.dst] -= 1
-            self._account(request)  # sent, then refused before dispatch
-            self.metrics.increment("net.shed_requests")
-            raise NodeBusyError(request.dst, queue_depth=1)
-
     # -- communication ------------------------------------------------
+
+    def _admit(self, request: Message) -> Handler:
+        """The checks every request passes before its handler runs.
+
+        Returns the destination's handler.  A local call (``src ==
+        dst``) is free: nothing is accounted, and only a missing or
+        failed endpoint stops it.  A remote request is accounted once
+        it leaves, also when it then fails: a dead destination or a
+        loss draw raises :class:`NodeUnreachableError`, an injected busy
+        token (:meth:`inject_busy`) raises
+        :class:`~repro.net.errors.NodeBusyError` without dispatch.
+        """
+        dst = request.dst
+        if request.src == dst:
+            handler = self._handlers.get(dst)
+            if handler is None or dst in self._failed:
+                raise NodeUnreachableError(dst)
+            return handler
+        self._account(request)
+        if not self.is_alive(dst):
+            raise NodeUnreachableError(dst)  # the request is sent, then times out
+        if self._loss_rate and self._loss_rng.random() < self._loss_rate:
+            self.metrics.increment("network.dropped")
+            raise NodeUnreachableError(dst)  # sent, then lost in flight
+        if self._busy_budget.get(dst, 0) > 0:
+            self._busy_budget[dst] -= 1
+            self.metrics.increment("net.shed_requests")
+            raise NodeBusyError(dst, queue_depth=1)  # sent, then refused
+        return self._handlers[dst]
 
     def rpc(
         self,
@@ -218,7 +239,8 @@ class SimulatedNetwork:
         """Synchronous request/reply.  Returns the handler's return value.
 
         Accounts one request and one reply message and advances the
-        clock by two one-way latencies.  A local call (``src == dst``)
+        clock by two one-way latencies: the request's before the
+        handler runs, the reply's after.  A local call (``src == dst``)
         is free: no messages, no delay — as in the paper, where a node
         consulting its own index table costs nothing on the network.
         ``timeout`` is accepted for :class:`~repro.net.transport.Transport`
@@ -227,21 +249,12 @@ class SimulatedNetwork:
         so there is no open-ended wait to bound.
         """
         request = Message(src, dst, kind, payload or {})
+        handler = self._admit(request)
         if src == dst:
-            return self._dispatch_local(request)
-        if not self.is_alive(dst):
-            self._account(request)  # the request is sent, then times out
-            raise NodeUnreachableError(dst)
-        if self._loss_rate and self._loss_rng.random() < self._loss_rate:
-            self._account(request)  # sent, then lost in flight
-            self.metrics.increment("network.dropped")
-            raise NodeUnreachableError(dst)
-        self._shed_if_busy(request)
-        self._account(request)
+            return handler(request)
         self.scheduler.advance(self.latency.delay(src, dst))
-        result = self._handlers[dst](request)
-        reply = Message(dst, src, kind, {}, is_reply=True)
-        self._account(reply, payload=result)
+        result = handler(request)
+        self._account(Message(dst, src, kind, {}, is_reply=True), payload=result)
         self.scheduler.advance(self.latency.delay(dst, src))
         return result
 
@@ -274,32 +287,18 @@ class SimulatedNetwork:
         outcomes: list[RpcOutcome] = []
         slowest = 0.0
         for call in calls:
-            request = Message(call.src, call.dst, call.kind, call.payload or {})
+            src, dst = call.src, call.dst
+            request = Message(src, dst, call.kind, call.payload or {})
             try:
-                if call.src == call.dst:
-                    outcomes.append(RpcOutcome.success(self._dispatch_local(request)))
-                    continue
-                if not self.is_alive(call.dst):
-                    self._account(request)  # the request is sent, then times out
-                    raise NodeUnreachableError(call.dst)
-                if self._loss_rate and self._loss_rng.random() < self._loss_rate:
-                    self._account(request)  # sent, then lost in flight
-                    self.metrics.increment("network.dropped")
-                    raise NodeUnreachableError(call.dst)
-                self._shed_if_busy(request)
-                self._account(request)
-                result = self._handlers[call.dst](request)
-                self._account(
-                    Message(call.dst, call.src, call.kind, {}, is_reply=True),
-                    payload=result,
-                )
-                round_trip = self.latency.delay(call.src, call.dst) + self.latency.delay(
-                    call.dst, call.src
-                )
-                slowest = max(slowest, round_trip)
-                outcomes.append(RpcOutcome.success(result))
+                result = self._admit(request)(request)
             except Exception as error:  # noqa: BLE001 - per-call outcome, never lost
                 outcomes.append(RpcOutcome.failure(error))
+                continue
+            if src != dst:
+                self._account(Message(dst, src, call.kind, {}, is_reply=True), payload=result)
+                round_trip = self.latency.delay(src, dst) + self.latency.delay(dst, src)
+                slowest = max(slowest, round_trip)
+            outcomes.append(RpcOutcome.success(result))
         # All calls were in flight together: elapse the slowest round
         # trip once (handlers that advanced the clock themselves, e.g.
         # via nested RPCs, already pushed `now` past the departure time
@@ -353,12 +352,6 @@ class SimulatedNetwork:
             self._traces.remove(window)
 
     # -- internals ----------------------------------------------------
-
-    def _dispatch_local(self, request: Message) -> Any:
-        handler = self._handlers.get(request.dst)
-        if handler is None or request.dst in self._failed:
-            raise NodeUnreachableError(request.dst)
-        return handler(request)
 
     def _account(
         self,
