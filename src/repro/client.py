@@ -22,11 +22,6 @@ including the PR-6 ``deadline`` and ``priority`` QoS fields, so a
 driver written against :class:`Client` exercises admission control and
 deadline budgets over TCP and runs unchanged on the simulator.
 
-The old entry-point spellings remain valid on their own objects;
-:class:`Client` additionally carries thin ``publish`` /
-``superset_search`` adapters (deprecation-warned) so code written
-against the service's method names accepts a client without edits.
-
 ``connect(config, peers=...)`` builds a :class:`DaemonFleetClient`: a
 serve-nothing :class:`~repro.net.aio.AsyncioTransport` whose every RPC
 — including self-addressed ones — dials out to the daemon that owns the
@@ -37,7 +32,6 @@ against one shared cluster.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
@@ -143,30 +137,6 @@ class _ServiceBackedClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # -- deprecated service-shaped adapters ---------------------------
-
-    def publish(
-        self, object_id: str, keywords: Iterable[str], *, holder: int | None = None
-    ) -> PublishedObject:
-        """Deprecated alias of :meth:`insert` (the service's spelling)."""
-        warnings.warn(
-            "Client.publish() is deprecated; use Client.insert()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.insert(object_id, keywords, holder=holder)
-
-    def superset_search(
-        self, keywords: Iterable[str], options: SearchOptions | None = None
-    ) -> SearchResult:
-        """Deprecated alias of :meth:`search` (the service's spelling)."""
-        warnings.warn(
-            "Client.superset_search() is deprecated; use Client.search()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.search(keywords, options)
 
 
 class ServiceClient(_ServiceBackedClient):

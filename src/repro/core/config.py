@@ -7,10 +7,6 @@ dataclasses that fail at construction time instead of deep inside the
 stack, and that carry the resilience policy (retries, deadlines,
 circuit breaking) alongside the topology knobs.  :class:`SearchOptions`
 does the same for per-query parameters.
-
-The legacy keyword form of ``create`` keeps working through
-:meth:`ServiceConfig.from_legacy`, which coerces strings to enums and
-emits a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
@@ -146,34 +142,6 @@ class ServiceConfig:
             raise ValueError(f"cache_capacity must be >= 0, got {self.cache_capacity}")
         if self.index_replicas < 1:
             raise ValueError(f"index_replicas must be >= 1, got {self.index_replicas}")
-
-    @classmethod
-    def from_legacy(cls, **kwargs) -> "ServiceConfig":
-        """Build a config from the pre-1.1 keyword arguments (strings
-        for ``dht`` / ``cache_policy`` / ``contact_mode``).  Unknown
-        string values raise ``ValueError`` exactly as the old façade
-        did."""
-        try:
-            return cls(**kwargs)
-        except ValueError as error:
-            # Re-frame enum coercion errors in the old API's terms.
-            message = str(error)
-            if "DhtKind" in message:
-                raise ValueError(
-                    f"dht must be one of {sorted(k.value for k in DhtKind)}, "
-                    f"got {kwargs.get('dht')!r}"
-                ) from None
-            if "CachePolicy" in message:
-                raise ValueError(
-                    f"cache_policy must be one of {sorted(p.value for p in CachePolicy)}, "
-                    f"got {kwargs.get('cache_policy')!r}"
-                ) from None
-            if "ContactMode" in message:
-                raise ValueError(
-                    f"contact_mode must be 'direct' or 'routed', "
-                    f"got {kwargs.get('contact_mode')!r}"
-                ) from None
-            raise
 
     def with_resilience(
         self, resilience: RetryPolicy, breaker: BreakerPolicy | None = None

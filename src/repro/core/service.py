@@ -7,15 +7,10 @@ physical network — into one object: describe the stack with a
 dimension, caching, resilience policy) and publish / search objects
 through a small, stable API.  Examples and downstream applications
 should only need this module.
-
-The pre-1.1 keyword form of :meth:`KeywordSearchService.create`
-(``dht="chord"``, ``cache_policy="fifo"`` …) still works but emits a
-:class:`DeprecationWarning`; new code should build a ``ServiceConfig``.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -140,22 +135,20 @@ class KeywordSearchService:
     @classmethod
     def create(
         cls,
-        config: ServiceConfig | None = None,
+        config: ServiceConfig,
         *,
         network: Transport | None = None,
         store_factory=None,
-        **legacy,
     ) -> "KeywordSearchService":
         """Build the full stack: network transport, DHT, hypercube index.
 
-        Pass a :class:`~repro.core.config.ServiceConfig`; the pre-1.1
-        keyword form (``dimension=…, num_dht_nodes=…, dht="chord"`` …)
-        is still accepted but deprecated.  ``network`` injects a shared
+        ``config`` is a :class:`~repro.core.config.ServiceConfig`.
+        ``network`` injects a shared
         :class:`~repro.net.transport.Transport` — a
         :class:`~repro.sim.network.SimulatedNetwork` so several stacks
         can coexist on one medium, or an
         :class:`~repro.net.aio.AsyncioTransport` to run the same stack
-        over real TCP sockets — and composes with either form.
+        over real TCP sockets.
 
         ``store_factory(address)`` returns the durable
         :class:`~repro.store.backend.StoreBackend` for one node (e.g. a
@@ -164,19 +157,6 @@ class KeywordSearchService:
         state and record every mutation.  None (the default) keeps all
         state in memory.
         """
-        if config is None:
-            warnings.warn(
-                "keyword-argument KeywordSearchService.create(...) is deprecated; "
-                "pass a repro.core.config.ServiceConfig instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = ServiceConfig.from_legacy(**legacy)
-        elif legacy:
-            raise TypeError(
-                "pass either a ServiceConfig or legacy keyword arguments, "
-                f"not both: {sorted(legacy)}"
-            )
         rng = make_rng(config.seed)
         dolr: DolrNetwork = _DHT_BUILDERS[config.dht](
             bits=config.dht_bits, num_nodes=config.num_dht_nodes, seed=rng, network=network

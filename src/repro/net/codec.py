@@ -64,12 +64,8 @@ __all__ = [
     "read_str",
     "read_uvarint",
     "read_varint",
-    "write_dict_header",
     "write_str",
     "write_uvarint",
-    "write_value_int",
-    "write_value_str",
-    "write_value_str_tuple",
     "write_varint",
 ]
 
@@ -175,36 +171,6 @@ def read_varint(data, position: int) -> tuple[int, int]:
     """Read a zigzag varint; returns ``(value, new position)``."""
     raw, position = read_uvarint(data, position)
     return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1), position
-
-
-def write_dict_header(buffer: bytearray, count: int) -> None:
-    """Append a str-keyed dict header; the caller writes ``count``
-    ``write_str`` key / value pairs after it.  Byte-identical to
-    :func:`encode_value_binary` on the equivalent dict — the WAL's hot
-    write path skips the generic dispatch, not the format."""
-    buffer.append(_T_DICT)
-    write_uvarint(buffer, count)
-
-
-def write_value_str(buffer: bytearray, value: str) -> None:
-    """Append one string *value* (type byte included)."""
-    buffer.append(_T_STR)
-    write_str(buffer, value)
-
-
-def write_value_int(buffer: bytearray, value: int) -> None:
-    """Append one int *value* (type byte included)."""
-    buffer.append(_T_INT)
-    write_uvarint(buffer, (value << 1) if value >= 0 else ((-value << 1) - 1))
-
-
-def write_value_str_tuple(buffer: bytearray, items) -> None:
-    """Append a tuple-of-strings *value* (type bytes included)."""
-    buffer.append(_T_TUPLE)
-    write_uvarint(buffer, len(items))
-    for item in items:
-        buffer.append(_T_STR)
-        write_str(buffer, item)
 
 
 def read_str(data, position: int) -> tuple[str, int]:

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.net.codec import (
-    CODEC_BINARY,
     CODEC_JSON,
     codec_by_name,
     decode_value_binary,
@@ -51,7 +50,6 @@ from repro.net.codec import (
     encode_value_binary,
     encode_value_json,
     new_buffer,
-    write_uvarint,
 )
 from repro.net.errors import ProtocolError
 
@@ -63,7 +61,6 @@ __all__ = [
     "apply_record",
     "decode_records",
     "encode_record",
-    "encode_record_generic",
     "entry_records",
     "replay",
 ]
@@ -109,16 +106,6 @@ class StoreRecord:
 
 
 _HEADER_HOLE = b"\x00" * _FRAME.size
-# Pre-encoded binary dict keys (varint length + raw UTF-8), in the
-# sorted order every record payload uses.
-_K_H, _K_ID = b"\x01h", b"\x02id"
-_K_KW, _K_LG, _K_NS, _K_OP = b"\x02kw", b"\x02lg", b"\x02ns", b"\x02op"
-# Binary tags mirrored from repro.net.codec for the inlined hot paths
-# below (dict header with its count baked in, plus the three value
-# tags these records use); the store tests pin byte-identity with
-# encode_record, so drift between the copies cannot hide.
-_B_DICT5, _B_DICT3 = b"\x0a\x05", b"\x0a\x03"
-_B_STR, _B_INT, _B_TUPLE = 0x05, 0x03, 0x07
 
 
 def _seal(buffer: bytearray) -> bytes:
@@ -157,81 +144,18 @@ def encode_entry_op(
     object_id: str,
     codec: str = "binary",
 ) -> bytes:
-    """Frame a ``put``/``remove`` from bare fields (the hot write path —
-    no :class:`StoreRecord` built, no generic dispatch; byte-identical
-    to :func:`encode_record` on the equivalent record, a property the
-    store tests pin)."""
-    if codec != "binary" and codec_by_name(codec).id != CODEC_BINARY:
-        return _frame_payload(
-            {"id": object_id, "kw": keywords, "lg": logical, "ns": namespace, "op": op},
-            CODEC_JSON,
-        )
-    buffer = new_buffer()
-    append = buffer.append
-    buffer += _HEADER_HOLE
-    append(WAL_VERSION_BINARY)
-    buffer += _B_DICT5
-    buffer += _K_ID
-    append(_B_STR)
-    raw = object_id.encode("utf-8")
-    size = len(raw)
-    append(size) if size < 0x80 else write_uvarint(buffer, size)
-    buffer += raw
-    buffer += _K_KW
-    append(_B_TUPLE)
-    size = len(keywords)
-    append(size) if size < 0x80 else write_uvarint(buffer, size)
-    for keyword in keywords:
-        append(_B_STR)
-        raw = keyword.encode("utf-8")
-        size = len(raw)
-        append(size) if size < 0x80 else write_uvarint(buffer, size)
-        buffer += raw
-    buffer += _K_LG
-    append(_B_INT)
-    zigzag = (logical << 1) if logical >= 0 else ((-logical << 1) - 1)
-    append(zigzag) if zigzag < 0x80 else write_uvarint(buffer, zigzag)
-    buffer += _K_NS
-    append(_B_STR)
-    raw = namespace.encode("utf-8")
-    size = len(raw)
-    append(size) if size < 0x80 else write_uvarint(buffer, size)
-    buffer += raw
-    buffer += _K_OP
-    append(_B_STR)
-    raw = op.encode("utf-8")
-    size = len(raw)
-    append(size) if size < 0x80 else write_uvarint(buffer, size)
-    buffer += raw
-    return _seal(buffer)
+    """Frame a ``put``/``remove`` from bare fields, without building a
+    :class:`StoreRecord`: the payload is the field dict
+    :func:`encode_record` builds for the equivalent record."""
+    return _frame_payload(
+        {"id": object_id, "kw": keywords, "lg": logical, "ns": namespace, "op": op},
+        codec_by_name(codec).id,
+    )
 
 
 def encode_ref_op(op: str, object_id: str, holder: int, codec: str = "binary") -> bytes:
     """Frame a ``ref_put``/``ref_del`` from bare fields."""
-    if codec != "binary" and codec_by_name(codec).id != CODEC_BINARY:
-        return _frame_payload({"h": holder, "id": object_id, "op": op}, CODEC_JSON)
-    buffer = new_buffer()
-    append = buffer.append
-    buffer += _HEADER_HOLE
-    append(WAL_VERSION_BINARY)
-    buffer += _B_DICT3
-    buffer += _K_H
-    append(_B_INT)
-    zigzag = (holder << 1) if holder >= 0 else ((-holder << 1) - 1)
-    append(zigzag) if zigzag < 0x80 else write_uvarint(buffer, zigzag)
-    buffer += _K_ID
-    append(_B_STR)
-    raw = object_id.encode("utf-8")
-    size = len(raw)
-    append(size) if size < 0x80 else write_uvarint(buffer, size)
-    buffer += raw
-    buffer += _K_OP
-    append(_B_STR)
-    raw = op.encode("utf-8")
-    size = len(raw)
-    append(size) if size < 0x80 else write_uvarint(buffer, size)
-    buffer += raw
-    return _seal(buffer)
+    return _frame_payload({"h": holder, "id": object_id, "op": op}, codec_by_name(codec).id)
 
 
 def _record_payload(record: StoreRecord) -> dict[str, Any]:
@@ -258,12 +182,6 @@ def _record_payload(record: StoreRecord) -> dict[str, Any]:
 def encode_record(record: StoreRecord, codec: str = "binary") -> bytes:
     """Serialize one record, frame header included."""
     return _frame_payload(_record_payload(record), codec_by_name(codec).id)
-
-
-# The hand-assembled per-op JSON encoder this module used to carry is
-# gone: both codecs now run through the shared core, and the old
-# "generic reference encoder" *is* the encoder.
-encode_record_generic = encode_record
 
 
 def _decode_body(body: bytes) -> StoreRecord:

@@ -52,15 +52,6 @@ class TestServiceClient:
         result = client.search({"dht"}, SearchOptions(threshold=1))
         assert len(result.results()) == 1
 
-    def test_deprecated_spellings_warn_but_work(self):
-        service = KeywordSearchService.create(CONFIG)
-        client = service.client()
-        with pytest.warns(DeprecationWarning, match="insert"):
-            client.publish("old.pdf", {"dht", "legacy"})
-        with pytest.warns(DeprecationWarning, match="search"):
-            result = client.superset_search({"legacy"})
-        assert result.results() == ("old.pdf",)
-
 
 class TestConnect:
     def test_connect_service(self):

@@ -77,34 +77,6 @@ class TestServiceConfig:
         assert svc.config is config
 
 
-class TestLegacyShim:
-    def test_legacy_keywords_warn_and_work(self):
-        with pytest.warns(DeprecationWarning, match="ServiceConfig"):
-            svc = KeywordSearchService.create(
-                dimension=5, num_dht_nodes=8, dht="chord", seed=1
-            )
-        svc.publish("x", {"a"})
-        assert svc.pin_search({"a"}).results() == ("x",)
-
-    def test_legacy_unknown_backend_message(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="dht must be one of"):
-                KeywordSearchService.create(dimension=5, num_dht_nodes=8, dht="napster")
-
-    def test_legacy_unknown_cache_policy_message(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="cache_policy must be one of"):
-                KeywordSearchService.create(
-                    dimension=5, num_dht_nodes=8, cache_policy="random"
-                )
-
-    def test_config_and_legacy_kwargs_conflict(self):
-        with pytest.raises(TypeError, match="not both"):
-            KeywordSearchService.create(
-                ServiceConfig(dimension=5, num_dht_nodes=8), dimension=5
-            )
-
-
 class TestPublishing:
     def test_publish_and_pin(self, service):
         result = service.pin_search({"mp3", "jazz", "saxophone"})
