@@ -137,8 +137,8 @@ def sequential_rpc_many(
     """Reference ``rpc_many`` semantics: the calls issued one at a time.
 
     This is the behavioural contract batch implementations must match
-    call-for-call (same results, same errors, same message accounting) —
-    and the fallback used for transports that predate the batch API.
+    call-for-call (same results, same errors, same message accounting);
+    the transport tests compare both media against it.
     """
     outcomes: list[RpcOutcome] = []
     for call in calls:
