@@ -1,12 +1,13 @@
 """Mixed-codec interoperability (docs/protocol.md §18).
 
-A binary-preferring node must speak v2 with binary peers and fall back
-to v1 JSON with pinned peers — on the *same* deployment, per
-connection, with zero configuration agreement.  The acceptance bar is
-exact result parity: a superset search answered across a JSON-v1 ×
-binary-v2 boundary returns byte-for-byte the same results as a
-homogeneous deployment.  The WAL side of the same story: a data
-directory written under one codec recovers under the other.
+Each node writes every frame in its own codec from the first frame on a
+connection, and reads either version by the frame's version byte, so a
+JSON-pinned node and binary nodes share one deployment with no
+handshake and no per-connection state.  The acceptance bar is exact
+result parity: a superset search answered across a JSON-v1 × binary-v2
+boundary returns the same results as a homogeneous deployment.  The
+WAL side of the same story: a data directory written under one codec
+recovers under the other.
 """
 
 import struct
@@ -14,8 +15,11 @@ import threading
 
 import pytest
 
+import repro.net.aio
 from repro.core.config import ServiceConfig
 from repro.net.aio import AsyncioTransport
+from repro.net.codec import CODEC_BINARY
+from repro.net.wire import Frame, FrameType, encode_frame
 from repro.net.node import NodeDaemon, cluster_addresses
 from repro.store.file import FileStore
 from repro.store.wal import decode_records
@@ -66,8 +70,7 @@ class TestTransportNegotiation:
             b.close()
 
     def test_binary_pair_sends_fewer_bytes_than_json_pair(self):
-        """The observable proof the upgrade actually happened: identical
-        traffic, strictly fewer bytes on the negotiated-binary pair."""
+        """Identical traffic, strictly fewer bytes on the binary pair."""
         totals = {}
         for codec in ("binary", "json"):
             a, b = self.paired(codec, codec)
@@ -80,21 +83,49 @@ class TestTransportNegotiation:
                 b.close()
         assert totals["binary"] < totals["json"]
 
-    def test_json_pinned_peer_never_receives_v2(self):
-        """A binary node dialling a pinned-JSON node opens with a v1
-        advert; the pinned node replies v1 and the connection stays
-        JSON both ways — every frame the pinned side parses is v1."""
+    def test_first_rpc_on_a_fresh_connection_is_binary_both_ways(self):
+        """The opening request is already a v2 frame: one echo between
+        two fresh binary transports costs exactly its two binary frames."""
+        a, b = self.paired("binary", "binary")
+        try:
+            reply = a.rpc(1, 2, "test.echo", self.PAYLOAD)
+            sent = a.metrics.counter("net.bytes_sent") + b.metrics.counter("net.bytes_sent")
+        finally:
+            a.close()
+            b.close()
+        request_id = 1  # a fresh transport numbers its first request 1
+        request = Frame(FrameType.REQUEST, "test.echo", 1, 2, request_id, self.PAYLOAD)
+        answer = Frame(FrameType.REPLY, "test.echo", 2, 1, request_id, reply)
+        assert sent == len(encode_frame(request, codec=CODEC_BINARY)) + len(
+            encode_frame(answer, codec=CODEC_BINARY)
+        )
+
+    def test_each_side_writes_its_own_codec(self, monkeypatch):
+        """Binary node 1 and JSON-pinned node 2 call each other: every
+        frame node 1 writes (its requests and its replies) is v2, every
+        frame node 2 writes is v1, and both sides read what they get."""
+        written = []
+        real_encode = repro.net.aio.encode_frame
+
+        def spy(frame, **options):
+            data = real_encode(frame, **options)
+            written.append((frame.src, frame.type, data[4]))
+            return data
+
+        monkeypatch.setattr(repro.net.aio, "encode_frame", spy)
         a, b = self.paired("binary", "json")
         try:
-            for i in range(5):
+            for i in range(3):
                 assert a.rpc(1, 2, "test.echo", {"i": i})["echo"] == {"i": i}
-            # And the reverse direction: the pinned node's own requests
-            # are v1, answered in v1 by the binary node.
-            for i in range(5):
                 assert b.rpc(2, 1, "test.echo", {"i": i})["echo"] == {"i": i}
         finally:
             a.close()
             b.close()
+        assert {(src, frame_type) for src, frame_type, _ in written} == {
+            (1, FrameType.REQUEST), (2, FrameType.REPLY),
+            (2, FrameType.REQUEST), (1, FrameType.REPLY),
+        }
+        assert {(src, version) for src, _, version in written} == {(1, 2), (2, 1)}
 
 
 class TestMixedDeploymentParity:

@@ -303,6 +303,22 @@ class TestBatchRpc:
         assert [o.ok for o in outcomes] == [True, False, True]
         assert isinstance(outcomes[1].error, RuntimeError)
 
+    def test_raising_handler_pays_the_request_leg_as_rpc_does(self):
+        def boom(message):
+            raise RuntimeError("poisoned")
+
+        single, batched = self.make(), self.make()
+        for network in (single, batched):
+            network.register(2, boom)
+        with pytest.raises(RuntimeError):
+            single.rpc(0, 2, "test.ping", {})
+        assert not batched.rpc_many(self.calls(2))[0].ok
+        assert batched.now() == single.now() == 1.0
+        # A request that never reached a handler still costs no time.
+        batched.fail(3)
+        assert not batched.rpc_many(self.calls(3))[0].ok
+        assert batched.now() == 1.0
+
     def test_local_call_is_free_and_instant(self):
         network = self.make()
         outcomes = network.rpc_many([RpcCall(1, 1, "test.ping", {})])

@@ -14,7 +14,6 @@ from repro.net.errors import NodeBusyError
 from repro.net.transport import RpcCall
 from repro.obs.trace import TraceRecorder, recording
 from repro.sim.events import EventScheduler
-from repro.sim.latency import LatencyModel
 from repro.sim.network import NodeUnreachableError, SimulatedNetwork
 from repro.sim.resilience import (
     BreakerPolicy,
@@ -226,6 +225,22 @@ class TestResilientChannel:
             channel.rpc(0, 1, "ping", {})
         assert channel.send(0, 1, "datagram", {}) is False
         assert network.metrics.counter("breaker.rejected") == 1
+
+    def test_swallowed_send_is_traced_as_a_rejection(self):
+        """A datagram the breaker swallows shows in a trace exactly as a
+        refused ``rpc`` does: one ``breaker`` event, ``state="rejected"``."""
+        network = make_network()
+        network.fail(1)
+        channel = ResilientChannel(
+            network, breaker=BreakerPolicy(failure_threshold=1, reset_timeout=1e9)
+        )
+        with pytest.raises(NodeUnreachableError):
+            channel.rpc(0, 1, "ping", {})
+        recorder = TraceRecorder(network.now)
+        with recording(recorder):
+            assert channel.send(0, 1, "datagram", {}) is False
+        events = [row[1:] for row in recorder.raw if isinstance(row, tuple)]
+        assert events == [("breaker", {"dst": 1, "state": "rejected"})]
 
     def test_retries_beat_message_loss(self):
         network = make_network()
@@ -468,19 +483,6 @@ class TestResilientChannelBatch:
         )
 
 
-class _ReplyLegLatency(LatencyModel):
-    """Requests travel in zero time, replies take one unit.
-
-    The simulator runs ``rpc``'s handler after the request leg and
-    ``rpc_many``'s at departure, so a handler that raises would leave
-    the two twins one request leg apart for a reason outside the
-    channel.  With a free request leg both clock rules agree on every
-    outcome, and successful calls still move the clock."""
-
-    def delay(self, src: int, dst: int) -> float:
-        return 0.0 if src < dst else 1.0
-
-
 class _ScriptedEndpoint:
     """Handler that plays one behaviour per invocation, then answers."""
 
@@ -515,7 +517,7 @@ class TestSingleCallParity:
 
     def twin(self, faults, policy, breaker, jitter_seed):
         dead, loss, busy, script = faults
-        network = SimulatedNetwork(latency=_ReplyLegLatency())
+        network = SimulatedNetwork()
         network.register(1, lambda message: {"echo": message.payload})
         network.register(2, _ScriptedEndpoint(2, script))
         if dead:

@@ -304,45 +304,34 @@ class TestNonFinitePayloads:
 
 
 class TestNegotiationParsing:
+    """A frame body decodes by its version byte alone: no connection
+    state, no capability advert, whichever codec the sender writes."""
+
     def good_frame(self):
         return Frame(FrameType.REQUEST, "kad.ping", 1, 2, 3, {})
 
     def test_v1_without_advert(self):
-        frame, codec_id, advertised = parse_frame_info(encode_frame(self.good_frame())[4:])
-        assert codec_id == CODEC_JSON
-        assert advertised == ()
-        assert frame == self.good_frame()
-
-    def test_v1_with_advert(self):
-        data = encode_frame(self.good_frame(), advertise=(CODEC_JSON, CODEC_BINARY))
-        frame, codec_id, advertised = parse_frame_info(data[4:])
-        assert codec_id == CODEC_JSON
-        assert advertised == (CODEC_JSON, CODEC_BINARY)
-        assert frame == self.good_frame()
+        assert parse_frame_info(encode_frame(self.good_frame())[4:]) == self.good_frame()
 
     def test_v2_implies_binary_capability(self):
         data = encode_frame(self.good_frame(), codec=CODEC_BINARY)
-        frame, codec_id, advertised = parse_frame_info(data[4:])
-        assert codec_id == CODEC_BINARY
-        assert CODEC_BINARY in advertised
-        assert frame == self.good_frame()
+        assert parse_frame_info(data[4:]) == self.good_frame()
 
-    def test_advert_ignored_by_plain_decode(self):
-        # decode_frame (the v1 entry point) must keep accepting frames
-        # that carry the negotiation key — legacy peers see it as an
-        # unknown envelope key and move on.
-        data = encode_frame(self.good_frame(), advertise=(CODEC_JSON, CODEC_BINARY))
-        decoded, consumed = decode_frame(data)
-        assert decoded == self.good_frame()
-        assert consumed == len(data)
-
-    def test_malformed_advert_is_ignored(self):
+    def test_unknown_envelope_key_is_ignored(self):
         envelope = {"t": "req", "kind": "kad.ping", "src": 1, "dst": 2, "id": 3,
                     "p": {}, "cd": "not-a-list"}
         body = bytes([PROTOCOL_VERSION]) + json.dumps(envelope).encode()
-        frame, codec_id, advertised = parse_frame_info(body)
-        assert codec_id == CODEC_JSON
-        assert advertised == ()
+        assert parse_frame_info(body) == self.good_frame()
+        decoded, consumed = decode_frame(struct.pack("!I", len(body)) + body)
+        assert decoded == self.good_frame()
+        assert consumed == 4 + len(body)
+
+    def test_v2_frame_with_json_codec_id_is_rejected(self):
+        # No encoder writes a JSON envelope behind the v2 version byte.
+        envelope = {"t": "req", "kind": "kad.ping", "src": 1, "dst": 2, "id": 3, "p": {}}
+        body = bytes([PROTOCOL_VERSION_BINARY, CODEC_JSON]) + json.dumps(envelope).encode()
+        with pytest.raises(ProtocolError, match="unknown codec id"):
+            parse_frame_info(body)
 
 
 class TestFrameDecoder:
