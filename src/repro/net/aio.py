@@ -77,7 +77,7 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 from repro.net.admission import AdmissionController, AdmissionPolicy
-from repro.net.codec import CODEC_BINARY, CODEC_JSON, codec_by_name
+from repro.net.codec import codec_by_name
 from repro.net.errors import (
     NodeBusyError,
     PeerUnreachableError,
@@ -125,20 +125,12 @@ LOOP_KINDS = frozenset(
     }
 )
 
-_ADVERT = (CODEC_JSON, CODEC_BINARY)
-
 _BLOCKS_LOOP = "a remote call from the transport's event loop thread would block the event loop"
 
 
-async def _read_frame(
-    reader: asyncio.StreamReader, max_frame_bytes: int
-) -> tuple[Frame, int, tuple[int, ...]] | None:
-    """Read one frame; None on clean EOF; ProtocolError on bad bytes.
-
-    Returns ``(frame, codec id it arrived in, advertised codec ids)``
-    so both ends can negotiate the connection's codec from its first
-    frames (see docs/protocol.md §18).
-    """
+async def _read_frame(reader: asyncio.StreamReader, max_frame_bytes: int) -> Frame | None:
+    """Read one frame, in either wire version; None on clean EOF;
+    ProtocolError on bad bytes."""
     header = await reader.read(_HEADER.size)
     if not header:
         return None
@@ -159,8 +151,7 @@ async def _read_frame(
 class _Connection:
     """One pooled client connection to a peer endpoint."""
 
-    __slots__ = ("dst", "reader", "writer", "pending", "reader_task", "closed",
-                 "tx_codec", "greeted")
+    __slots__ = ("dst", "reader", "writer", "pending", "reader_task", "closed")
 
     def __init__(self, dst: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         self.dst = dst
@@ -170,10 +161,6 @@ class _Connection:
         self.pending: dict[int, tuple[Any, asyncio.TimerHandle | None]] = {}
         self.reader_task: asyncio.Task | None = None
         self.closed = False
-        # Negotiated outgoing codec: None until the peer's first frame
-        # arrives (requests stay v1 JSON, the safe opener), then pinned.
-        self.tx_codec: int | None = None
-        self.greeted = False  # whether the capability advert went out
 
 
 class AsyncioTransport:
@@ -203,11 +190,11 @@ class AsyncioTransport:
         time units (clock, retry backoff, deadlines) to seconds.
         ``admission=None`` (the default) disables admission control:
         every request is dispatched, as before this knob existed.
-        ``codec`` is the *preferred* wire codec (``"binary"`` by
-        default): connections open in v1 JSON and upgrade to binary
-        only once the peer demonstrates it speaks v2, so a transport
-        pinned to ``"json"`` — or a pre-codec build — interoperates
-        unmodified (docs/protocol.md §18).
+        ``codec`` is the codec this transport writes every frame in,
+        from the first frame on each connection (``"binary"``, the
+        default, or ``"json"``).  Incoming frames decode by their
+        version byte, so transports pinned to different codecs
+        interoperate (docs/protocol.md §18).
         """
         if time_scale <= 0:
             raise ValueError(f"time_scale must be positive, got {time_scale}")
@@ -630,14 +617,14 @@ class AsyncioTransport:
         self._write_request(connection, frame, timeout_s, waiter)
 
     def _write_request(self, connection: _Connection, frame: Frame, timeout_s: float, waiter) -> None:
-        """Encode in the negotiated codec, register the waiter, write.
+        """Encode in this transport's codec, register the waiter, write.
 
         No ``drain()``: in-flight RPCs are bounded by blocked caller
         threads, so the write buffer cannot grow without bound, and a
         peer that stops reading surfaces as reply timeouts.
         """
         try:
-            data = self._encode_for(connection, frame)
+            data = encode_frame(frame, max_frame_bytes=self.max_frame_bytes, codec=self._codec_id)
         except Exception as error:  # noqa: BLE001 - ferried to the caller
             if not waiter.done():
                 waiter.set_exception(error)
@@ -668,21 +655,6 @@ class AsyncioTransport:
         waiter, _ = entry
         if not waiter.done():
             waiter.set_exception(RpcTimeoutError(dst, timeout_s))
-
-    def _encode_for(self, connection: _Connection, frame: Frame) -> bytes:
-        """Serialize for this connection's negotiated codec.
-
-        Until the peer's first frame proves it speaks v2, requests go
-        out as v1 JSON; a binary-preferring transport attaches the
-        capability advert to the connection's opening frame.
-        """
-        if self._codec_id == CODEC_BINARY and connection.tx_codec == CODEC_BINARY:
-            return encode_frame(frame, max_frame_bytes=self.max_frame_bytes, codec=CODEC_BINARY)
-        advertise = None
-        if self._codec_id == CODEC_BINARY and not connection.greeted:
-            advertise = _ADVERT
-        connection.greeted = True
-        return encode_frame(frame, max_frame_bytes=self.max_frame_bytes, advertise=advertise)
 
     def send(
         self,
@@ -748,7 +720,7 @@ class AsyncioTransport:
     async def _send_async(self, dst: int, frame: Frame) -> None:
         try:
             connection = await self._connection_to(dst)
-            data = self._encode_for(connection, frame)
+            data = encode_frame(frame, max_frame_bytes=self.max_frame_bytes, codec=self._codec_id)
             connection.writer.write(data)
             self.metrics.increment("net.frames_sent")
             self.metrics.increment("net.bytes_sent", len(data))
@@ -789,21 +761,10 @@ class AsyncioTransport:
         error: BaseException = ConnectionResetError("connection closed by peer")
         try:
             while True:
-                received = await _read_frame(connection.reader, self.max_frame_bytes)
-                if received is None:
+                frame = await _read_frame(connection.reader, self.max_frame_bytes)
+                if frame is None:
                     break
-                frame, codec_id, advertised = received
                 self.metrics.increment("net.frames_received")
-                # Negotiation: the peer's first frame pins this
-                # connection's outgoing codec (binary only when both
-                # sides speak it; upgrades once, never downgrades).
-                if connection.tx_codec != CODEC_BINARY:
-                    if self._codec_id == CODEC_BINARY and (
-                        codec_id == CODEC_BINARY or CODEC_BINARY in advertised
-                    ):
-                        connection.tx_codec = CODEC_BINARY
-                    elif connection.tx_codec is None:
-                        connection.tx_codec = CODEC_JSON
                 entry = connection.pending.pop(frame.request_id, None)
                 if entry is not None:
                     waiter, timer = entry
@@ -828,30 +789,17 @@ class AsyncioTransport:
     ) -> None:
         self._server_writers.add(writer)
         write_lock = asyncio.Lock()
-        # Outgoing codec for this connection's replies, negotiated from
-        # the frames the client sends: replies stay v1 JSON until the
-        # client proves it speaks v2 (a v2 frame or a "cd" advert), so
-        # the upgrade never outruns the peer.  One-element list: the
-        # concurrent request tasks writing replies share the cell.
-        tx_codec = [CODEC_JSON]
         try:
             while True:
                 try:
-                    received = await _read_frame(reader, self.max_frame_bytes)
+                    frame = await _read_frame(reader, self.max_frame_bytes)
                 except ProtocolError:
                     # Malformed bytes poison the connection: count and
                     # hang up, never hang.
                     self.metrics.increment("net.protocol_errors")
                     break
-                if received is None:
+                if frame is None:
                     break
-                frame, codec_id, advertised = received
-                if (
-                    tx_codec[0] != CODEC_BINARY
-                    and self._codec_id == CODEC_BINARY
-                    and (codec_id == CODEC_BINARY or CODEC_BINARY in advertised)
-                ):
-                    tx_codec[0] = CODEC_BINARY
                 self.metrics.increment("net.frames_received")
                 if address not in self._handlers:
                     break  # the endpoint was unregistered mid-connection: hang up
@@ -885,7 +833,7 @@ class AsyncioTransport:
                     # task and no handler-pool hop.  Admission bounds
                     # handler threads, so with it on every kind is pooled.
                     reply = self._run_handler(address, frame)
-                    await self._write_frame(writer, write_lock, reply, tx_codec)
+                    await self._write_frame(writer, write_lock, reply)
                     continue
                 if self.admission is not None and not self.admission.try_admit(
                     address, frame.priority
@@ -903,12 +851,12 @@ class AsyncioTransport:
                             "retry_after": self.admission.policy.retry_after,
                         },
                     )
-                    await self._write_frame(writer, write_lock, busy, tx_codec)
+                    await self._write_frame(writer, write_lock, busy)
                     continue
                 # Dispatch concurrently: one task per admitted request,
                 # so a slow handler does not serialize the connection.
                 task = self._loop.create_task(
-                    self._handle_request(address, frame, writer, write_lock, tx_codec)
+                    self._handle_request(address, frame, writer, write_lock)
                 )
                 self._request_tasks.add(task)
                 task.add_done_callback(self._request_tasks.discard)
@@ -919,11 +867,7 @@ class AsyncioTransport:
             writer.close()
 
     async def _write_frame(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        frame: Frame,
-        tx_codec: list[int],
+        self, writer: asyncio.StreamWriter, write_lock: asyncio.Lock, frame: Frame
     ) -> None:
         """Serialize one reply onto a shared server connection.
 
@@ -931,7 +875,7 @@ class AsyncioTransport:
         frame's write+drain atomic so flow-control backpressure never
         interleaves two frames' bytes.
         """
-        data = encode_frame(frame, max_frame_bytes=self.max_frame_bytes, codec=tx_codec[0])
+        data = encode_frame(frame, max_frame_bytes=self.max_frame_bytes, codec=self._codec_id)
         async with write_lock:
             writer.write(data)
             self.metrics.increment("net.frames_sent")
@@ -944,7 +888,6 @@ class AsyncioTransport:
         frame: Frame,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
-        tx_codec: list[int],
     ) -> None:
         """Dispatch one admitted request and write its reply."""
         try:
@@ -955,7 +898,7 @@ class AsyncioTransport:
                 self._executor, self._run_handler, address, frame
             )
             try:
-                await self._write_frame(writer, write_lock, reply, tx_codec)
+                await self._write_frame(writer, write_lock, reply)
             except (ConnectionError, OSError):
                 pass  # caller hung up; nothing to tell it
         finally:

@@ -1,9 +1,11 @@
 """Length-prefixed, versioned wire format for protocol messages.
 
 Two frame layouts share the stream, distinguished by the version byte
-(the codec core behind both lives in :mod:`repro.net.codec`):
+(the codec core behind both lives in :mod:`repro.net.codec`).  A node
+writes every frame in its own codec and reads either layout by that
+byte alone, so a frame needs no connection state to decode:
 
-**v1 — JSON** (the original format, the rolling-upgrade fallback)::
+**v1 — JSON** (the original format, written by JSON-pinned nodes)::
 
     +----------------+-----------+----------------------------------+
     | length (4B BE) | version=1 | JSON envelope (UTF-8), length-1 B |
@@ -24,11 +26,7 @@ codec id 2 (binary) is: frame-type byte, length-prefixed ``kind``,
 zigzag varints for ``src``/``dst``/``id``/``pr``, then the payload in
 the binary value encoding — varint ints, raw UTF-8 strings, one type
 byte per value, and the flat posting-set form for scan replies.  See
-``docs/protocol.md`` §18 for the byte-level layout and the per-
-connection negotiation handshake (a binary-capable peer's first frame
-is v1 JSON carrying the capability advert key ``"cd"``; v1-only
-parsers ignore unknown envelope keys, which is what makes the rolling
-upgrade safe).
+``docs/protocol.md`` §18 for the byte-level layout.
 
 Frame types: ``req`` (request, expects a reply), ``rep`` (reply,
 ``p`` is the handler's return value), ``err`` (reply, the handler
@@ -108,7 +106,6 @@ PROTOCOL_VERSION = 1
 PROTOCOL_VERSION_BINARY = 2
 DEFAULT_MAX_FRAME_BYTES = 16 * 1024 * 1024  # 16 MiB
 _HEADER = struct.Struct("!I")
-_ADVERT_KEY = "cd"  # v1 envelope key listing the sender's codec ids
 
 
 class FrameType(enum.Enum):
@@ -160,16 +157,12 @@ def encode_frame(
     *,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     codec: int = CODEC_JSON,
-    advertise: tuple[int, ...] | None = None,
 ) -> bytes:
     """Serialize one frame, header included.
 
     ``codec`` selects the layout: :data:`~repro.net.codec.CODEC_JSON`
     (the default) emits a v1 frame byte-identical to the pre-codec
     format; :data:`~repro.net.codec.CODEC_BINARY` emits a v2 frame.
-    ``advertise`` (JSON frames only) lists codec ids in the ``"cd"``
-    envelope key — the negotiation opener a binary-capable peer sends
-    on a fresh connection.
     """
     if codec == CODEC_BINARY:
         buffer = new_buffer()
@@ -203,8 +196,6 @@ def encode_frame(
     }
     if frame.priority:
         envelope["pr"] = frame.priority
-    if advertise:
-        envelope[_ADVERT_KEY] = sorted(advertise)
     try:
         body = json.dumps(envelope, separators=(",", ":"), allow_nan=False).encode("utf-8")
     except (TypeError, ValueError) as error:
@@ -215,8 +206,10 @@ def encode_frame(
     return _HEADER.pack(length) + bytes([PROTOCOL_VERSION]) + body
 
 
-def _parse_json_envelope(data: bytes) -> tuple[Frame, tuple[int, ...]]:
-    """Decode a JSON envelope; returns ``(frame, advertised codecs)``."""
+def _parse_json_envelope(data: bytes) -> Frame:
+    """Decode a v1 JSON envelope (after the version byte).
+
+    Unknown envelope keys are ignored."""
     try:
         envelope = json.loads(bytes(data).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -238,16 +231,9 @@ def _parse_json_envelope(data: bytes) -> tuple[Frame, tuple[int, ...]]:
     priority = envelope.get("pr", 0)
     if not isinstance(priority, int) or isinstance(priority, bool):
         raise ProtocolError("frame priority must be an integer")
-    advert = envelope.get(_ADVERT_KEY)
-    advertised: tuple[int, ...] = ()
-    if isinstance(advert, list) and all(
-        isinstance(item, int) and not isinstance(item, bool) for item in advert
-    ):
-        advertised = tuple(advert)
-    frame = Frame(
+    return Frame(
         frame_type, kind, src, dst, request_id, decode_value(envelope.get("p")), priority
     )
-    return frame, advertised
 
 
 def _parse_binary_envelope(view: memoryview) -> Frame:
@@ -271,39 +257,29 @@ def _parse_binary_envelope(view: memoryview) -> Frame:
     return Frame(_FRAME_TYPES[type_code], kind, src, dst, request_id, payload, priority)
 
 
-def parse_frame_info(data: bytes) -> tuple[Frame, int, tuple[int, ...]]:
-    """Decode one frame body (no length header), with negotiation info.
+def parse_frame_info(data: bytes) -> Frame:
+    """Decode one frame body (version byte onward, no length header).
 
-    Returns ``(frame, codec id the frame arrived in, codec ids the
-    sender advertised)``.  A v2 frame implies the sender speaks both
-    codecs; a v1 frame advertises only through the ``"cd"`` key.
+    The version byte picks the decoder, so the body needs no connection
+    state: v1 is a JSON envelope, v2 a codec id byte and that codec's
+    envelope.  The only v2 codec id is binary.
     """
     if not data:
         raise ProtocolError("empty frame body")
     version = data[0]
     if version == PROTOCOL_VERSION:
-        frame, advertised = _parse_json_envelope(data[1:])
-        return frame, CODEC_JSON, advertised
+        return _parse_json_envelope(data[1:])
     if version == PROTOCOL_VERSION_BINARY:
         if len(data) < 2:
             raise ProtocolError("binary frame missing its codec id byte")
         codec_id = data[1]
-        if codec_id == CODEC_BINARY:
-            frame = _parse_binary_envelope(memoryview(data)[2:])
-            return frame, CODEC_BINARY, (CODEC_JSON, CODEC_BINARY)
-        if codec_id == CODEC_JSON:
-            frame, advertised = _parse_json_envelope(data[2:])
-            return frame, CODEC_JSON, advertised or (CODEC_JSON, CODEC_BINARY)
-        raise ProtocolError(f"unknown codec id {codec_id} in v2 frame")
+        if codec_id != CODEC_BINARY:
+            raise ProtocolError(f"unknown codec id {codec_id} in v2 frame")
+        return _parse_binary_envelope(memoryview(data)[2:])
     raise ProtocolError(
         f"unsupported wire version {version} "
         f"(speaking {PROTOCOL_VERSION}/{PROTOCOL_VERSION_BINARY})"
     )
-
-
-def _parse_body(data: bytes) -> Frame:
-    """Decode version byte + envelope (no length header)."""
-    return parse_frame_info(data)[0]
 
 
 def decode_frame(
@@ -319,7 +295,7 @@ def decode_frame(
     if declared is None or len(data) < _HEADER.size + declared:
         raise ProtocolError("truncated frame")
     body = data[_HEADER.size : _HEADER.size + declared]
-    return _parse_body(body), _HEADER.size + declared
+    return parse_frame_info(body), _HEADER.size + declared
 
 
 def _declared_length(buffer, max_frame_bytes: int) -> int | None:
@@ -370,7 +346,7 @@ class FrameDecoder:
                     break
                 body = bytes(self._buffer[_HEADER.size : _HEADER.size + declared])
                 del self._buffer[: _HEADER.size + declared]
-                frames.append(_parse_body(body))
+                frames.append(parse_frame_info(body))
         except ProtocolError:
             self._poisoned = True
             raise
