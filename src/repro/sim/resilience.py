@@ -321,6 +321,18 @@ class ResilientChannel:
 
     # -- per-call rule -------------------------------------------------
 
+    def _rejects(self, dst: int) -> bool:
+        """The breaker gate in front of every send: True, counted and
+        traced, when ``dst``'s breaker refuses traffic."""
+        breaker = self.breaker_for(dst)
+        if breaker is None or breaker.allow():
+            return False
+        self.network.metrics.increment("breaker.rejected")
+        recorder = active_recorder()
+        if recorder is not None:
+            recorder.emit("breaker", dst=dst, state="rejected")
+        return True
+
     def _admit(self, dst: int, deadline: float | None) -> NodeUnreachableError | None:
         """Checks before each attempt: the deadline, then the breaker.
 
@@ -331,12 +343,7 @@ class ResilientChannel:
         if deadline is not None and self.network.now() >= deadline:
             metrics.increment("rpc.deadline_exceeded")
             return DeadlineExceededError(dst, deadline)
-        breaker = self.breaker_for(dst)
-        if breaker is not None and not breaker.allow():
-            metrics.increment("breaker.rejected")
-            recorder = active_recorder()
-            if recorder is not None:
-                recorder.emit("breaker", dst=dst, state="rejected")
+        if self._rejects(dst):
             return CircuitOpenError(dst)
         metrics.increment("rpc.attempts")
         return None
@@ -541,9 +548,7 @@ class ResilientChannel:
         """One-way message through the breaker (no retries: datagrams
         carry no failure signal to retry on).  Returns False when the
         breaker swallowed the message."""
-        breaker = self.breaker_for(dst)
-        if breaker is not None and not breaker.allow():
-            self.network.metrics.increment("breaker.rejected")
+        if self._rejects(dst):
             return False
         self.network.send(src, dst, kind, payload, deliver=deliver)
         return True
