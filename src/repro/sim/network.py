@@ -274,14 +274,14 @@ class SimulatedNetwork:
         * **Determinism** — handlers run in call order, and the loss
           model draws in call order, so a batch is exactly as
           reproducible as the equivalent sequential loop.
-        * **Failures** — a dead / lossy destination yields a
-          :class:`NodeUnreachableError` *outcome* for that call alone
-          (it would have raised from :meth:`rpc`); a failed call pays no
-          round-trip time, matching the sequential path where the error
-          surfaces immediately after the request is accounted.
-
-        Handler-raised exceptions are ferried into the call's outcome as
-        well, so one poisoned call cannot lose its batch mates' replies.
+        * **Failures** — a dead / lossy / busy destination yields an
+          error *outcome* for that call alone (it would have raised from
+          :meth:`rpc`) and pays no time, as in :meth:`rpc`, where the
+          error surfaces right after the request is accounted.  A
+          handler that raises is ferried into its call's outcome too, so
+          one poisoned call cannot lose its batch mates' replies; its
+          request leg counts toward the slowest call, as :meth:`rpc`
+          has crossed that leg before the handler runs.
         """
         departure = self.scheduler.now
         outcomes: list[RpcOutcome] = []
@@ -290,8 +290,15 @@ class SimulatedNetwork:
             src, dst = call.src, call.dst
             request = Message(src, dst, call.kind, call.payload or {})
             try:
-                result = self._admit(request)(request)
+                handler = self._admit(request)
             except Exception as error:  # noqa: BLE001 - per-call outcome, never lost
+                outcomes.append(RpcOutcome.failure(error))
+                continue
+            try:
+                result = handler(request)
+            except Exception as error:  # noqa: BLE001 - per-call outcome, never lost
+                if src != dst:
+                    slowest = max(slowest, self.latency.delay(src, dst))
                 outcomes.append(RpcOutcome.failure(error))
                 continue
             if src != dst:
