@@ -7,17 +7,18 @@ The scenario CI runs end-to-end, across real process boundaries:
    ``AsyncioTransport`` serving 15 loopback sockets, default binary
    codec) and one **victim** node runs as a separate ``python -m repro
    node serve`` process with ``--data-dir`` (WAL + snapshot
-   persistence), ``--stats-port``, and ``--codec json`` — a v1-pinned
-   daemon among v2-capable peers, so every cross-process RPC exercises
-   the mixed-codec negotiation path;
+   persistence), ``--stats-port``, and ``--codec json`` — a daemon that
+   writes v1 frames among peers that write v2, so every cross-process
+   RPC crosses a mixed-codec fleet: each side writes its own codec and
+   reads the other's;
 2. publish half the corpus through the cluster — the victim's shard and
    reference table land in its WAL as version-1 (JSON) records;
 3. ``SIGKILL`` the victim mid-workload (no flush, no goodbye);
 4. restart it from the same ``--data-dir`` on the same port under the
-   *default binary codec* — the rolling-upgrade restart: recovery must
-   replay the JSON-era WAL, and new appends land as version-2 records
-   in the same file — wait for ``/healthz``, and check its metrics
-   report a recovery;
+   *default binary codec* — a restart under the other codec: recovery
+   must replay the JSON-era WAL, and new appends land as version-2
+   records in the same file — wait for ``/healthz``, and check its
+   metrics report a recovery;
 5. publish the other half, then run superset queries from a survivor
    and compare every result set against a same-seed simulator that
    never crashed — byte-for-byte parity, 100% recall;
@@ -27,8 +28,8 @@ The scenario CI runs end-to-end, across real process boundaries:
    rows must come back from its WAL, and the second half's trie edge
    splits must have landed on the *recovered* structure;
 7. scan the victim's WAL files and require **both** record versions on
-   disk — proof the mixed-codec file the upgrade leaves behind is what
-   recovery actually replayed;
+   disk — proof the mixed-codec file the codec switch leaves behind is
+   what recovery actually replayed;
 8. stop the victim with SIGTERM (the graceful path) and exit.
 
 Exits non-zero on any mismatch.  Runs in well under a minute.

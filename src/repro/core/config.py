@@ -97,13 +97,12 @@ class ServiceConfig:
     equal split, default) or ``SQRT_LOAD`` (the Sarshar & Roychowdhury
     optimum, allocation proportional to √demand).
 
-    ``codec`` picks the serialization stack (docs/protocol.md §18) for
-    TCP deployments: ``"binary"`` (default) speaks the v2 binary wire
-    envelope and writes v2 WAL records; ``"json"`` pins the v1 JSON
-    formats everywhere.  Mixed clusters interoperate — binary nodes
-    negotiate per connection and fall back to JSON with v1 peers, and
-    store recovery reads either record format — so the knob exists for
-    rolling upgrades and A/B measurement, not correctness.
+    ``codec`` is the codec a node writes (docs/protocol.md §18):
+    ``"binary"`` (default) writes v2 binary wire frames and v2 WAL
+    records; ``"json"`` writes the v1 JSON formats.  Every node reads
+    both — a frame or record decodes by its version byte — so mixed
+    clusters interoperate and a store reopens under either codec; the
+    knob sets bytes and speed, not correctness.
     """
 
     dimension: int

@@ -6,8 +6,8 @@ codecs defined here:
 * :data:`CODEC_JSON` (id 1) — the original tagged-JSON encoding: a
   payload is lowered to pure-JSON types with ``{"!": tag, "v": ...}``
   wrappers for ``tuple`` / ``set`` / ``frozenset`` / awkward dicts,
-  then ``json.dumps``-ed.  Human-readable, interoperable with v1 peers,
-  and the rolling-upgrade fallback.
+  then ``json.dumps``-ed.  Human-readable; what a JSON-pinned node
+  writes (v1 frames and records), and what every node can read.
 * :data:`CODEC_BINARY` (id 2) — a compact binary encoding: one type
   byte per value, varint integers (zigzag for sign), length-prefixed
   raw-UTF-8 strings, and a *flat posting-set* form

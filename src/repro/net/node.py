@@ -414,9 +414,9 @@ def add_node_commands(commands) -> None:
             "--codec",
             default="binary",
             choices=["json", "binary"],
-            help="wire + WAL serialization (docs/protocol.md §18): 'binary' (default) "
-            "negotiates the v2 binary envelope per connection and falls back to JSON "
-            "with v1 peers; 'json' pins the v1 format",
+            help="the codec this node writes on the wire and in its WAL "
+            "(docs/protocol.md §18): 'binary' (default) writes v2 frames, 'json' v1; "
+            "every node reads both",
         )
         if not joining:
             subparser.add_argument(

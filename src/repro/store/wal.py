@@ -21,9 +21,10 @@ same codec core the wire format uses (:mod:`repro.net.codec`):
   sorted order (varint ints, length-prefixed raw-UTF-8 strings).
 
 Identical state always produces identical bytes under either codec.
-Recovery auto-detects per record, so a WAL whose head predates the
-binary codec and whose tail postdates it — the rolling-upgrade restart
-— replays seamlessly; there is no file-level codec marker to migrate.
+A store writes its own codec and reads both: recovery detects the
+codec per record, so a WAL whose head was written under one codec and
+whose tail under the other — a node restarted with a different codec —
+replays seamlessly; there is no file-level codec marker to migrate.
 
 Replay is pure: :func:`decode_records` walks a byte string and stops at
 the first frame that is incomplete or fails its CRC (the torn tail a

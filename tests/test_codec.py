@@ -3,8 +3,8 @@
 The load-bearing property: the JSON and binary codecs carry the *same*
 value domain, and for any value in that domain both round-trip it to an
 equal value — so a payload produced by any layer (wire, WAL, scans)
-survives either medium, which is what makes per-connection negotiation
-and per-record WAL auto-detection safe.
+survives either medium, which is what lets nodes pinned to different
+codecs share a deployment and a WAL replay records of both.
 """
 
 import math
